@@ -166,10 +166,10 @@ class AuroraSystem:
         # previous period reuse their cached BlockSpec/locations.
         self._snapshot_cache = PlacementSnapshotCache()
         namenode.placement_policy = LoadAwarePolicy()
-        namenode.load_provider = self.node_load
         if self.config.movement_compression > 1.0:
             namenode.movement_compression = self.config.movement_compression
         self._node_load: List[float] = [0.0] * namenode.topology.num_machines
+        self.publish_loads()
         # Brownout mode: hysteresis over the cluster saturation signal.
         # The default signal is the namenode's view of its bounded
         # service queues; experiments can inject their own provider
@@ -204,18 +204,16 @@ class AuroraSystem:
 
     # -- load metric --------------------------------------------------------
 
-    def node_load(self, node: int) -> float:
-        """Popularity load of ``node`` plus a tiny disk-usage tie-breaker.
+    def publish_loads(self) -> None:
+        """Install the popularity vector as the namenode's load metric.
 
-        The popularity component is refreshed from the monitor each
-        period (:meth:`refresh_loads`); the live disk term spreads the
-        placement of brand-new (zero-popularity) blocks across equally
-        loaded machines.
+        ``namenode.node_load`` then reads popularity load plus a tiny
+        disk-usage tie-breaker.  The popularity component is refreshed
+        from the monitor each period (:meth:`refresh_loads`); the live
+        disk term spreads the placement of brand-new (zero-popularity)
+        blocks across equally loaded machines.
         """
-        return (
-            self._node_load[node]
-            + _DISK_TIEBREAK_WEIGHT * self.namenode.datanodes[node].used_blocks
-        )
+        self.namenode.set_load_vector(self._node_load, _DISK_TIEBREAK_WEIGHT)
 
     def refresh_loads(self, popularities: Dict[int, float]) -> None:
         """Recompute the per-node popularity load vector."""
@@ -231,6 +229,7 @@ class AuroraSystem:
             for node in locations:
                 loads[node] += share
         self._node_load = loads
+        self.publish_loads()
 
     def predicted_popularities(self, now: float) -> Dict[int, float]:
         """Per-block popularity estimate for the coming period.

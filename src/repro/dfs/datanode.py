@@ -46,6 +46,10 @@ class Datanode:
         # crashes (fault injection flipping liveness directly on the
         # datanode) invalidate membership-derived caches.
         self.on_liveness_change: Optional[Callable[[], None]] = None
+        # Invoked with ``node_id`` whenever ``used_blocks`` changes
+        # (store, erase, wipe); the namenode re-keys this node in its
+        # replica-target index.
+        self.on_usage_change: Optional[Callable[[int], None]] = None
         self._blocks: Set[int] = set()
         # Per-replica checksum state; every stored block has an entry.
         self._integrity: Dict[int, ReplicaIntegrity] = {}
@@ -116,6 +120,8 @@ class Datanode:
             generation=generation, checksum=checksum
         )
         self.bytes_written += size
+        if self.on_usage_change is not None:
+            self.on_usage_change(self.node_id)
 
     def erase(self, block_id: int) -> None:
         """Delete a replica from local disk."""
@@ -127,6 +133,8 @@ class Datanode:
             )
         self._blocks.discard(block_id)
         self._integrity.pop(block_id, None)
+        if self.on_usage_change is not None:
+            self.on_usage_change(self.node_id)
 
     def read(self, block_id: int, size: int = 0, verify: bool = False) -> None:
         """Serve a read of a stored replica (accounting only).
@@ -231,3 +239,5 @@ class Datanode:
         self._blocks.clear()
         self._integrity.clear()
         self.slowdown = 1.0
+        if self.on_usage_change is not None:
+            self.on_usage_change(self.node_id)

@@ -112,12 +112,16 @@ EXEMPT_NAMENODE_METHODS: FrozenSet[str] = frozenset({
     "replicate_block",
     "register_block_report",
     "check_replication",
+    "retract_replica",
     # liveness / membership: failure-detector beliefs, not metadata
     "fail_node",
     "recover_node",
     "fail_rack",
     "recover_rack",
     "wipe_node",
+    "adopt_datanodes",
+    # load: Aurora republishes its popularity vector every period
+    "set_load_vector",
     # integrity quarantine: derived from on-disk checksums; after a
     # failover the scrubber/clients re-detect any still-corrupt replica,
     # so replaying reports would only duplicate soft state
@@ -492,7 +496,10 @@ def recover_namenode(
     for survivor in surviving_datanodes:
         node = survivor.node_id
         target = fresh.datanodes[node]
-        target.alive = True  # restoring the disk needs a writable node
+        # Restoring the disk needs a writable node.  crash()/recover()
+        # (not a bare ``alive`` flip) keep the membership epoch moving.
+        if not target.alive:
+            target.recover()
         for block_id in survivor.blocks():
             if block_id not in fresh.blockmap:
                 continue
@@ -506,7 +513,7 @@ def recover_namenode(
             # registered before this node crashed.
             for block_id in fresh.blockmap.blocks_on(node):
                 fresh.blockmap.remove_location(block_id, node)
-        target.alive = survivor.alive
+            target.crash()
     return fresh
 
 

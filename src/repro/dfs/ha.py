@@ -510,10 +510,7 @@ class HaCluster:
         else:
             # Adopt the physical datanodes: disks, liveness and
             # heartbeat clocks survive the metadata failover.
-            fresh.datanodes = self._physical
-            for dn in self._physical:
-                dn.on_liveness_change = fresh._bump_membership_epoch
-            fresh._membership_epoch += 1  # invalidate the live-node cache
+            fresh.adopt_datanodes(self._physical)
 
         quota = QuotaManager(fresh)
         checkpoint = replica.store.load_checkpoint()
@@ -607,7 +604,7 @@ def rebind_aurora(system, namenode: Namenode) -> None:
 
     Registered as an ``on_failover`` callback.  Re-installs the usage
     monitor's access listener, the load-aware placement policy and the
-    load provider on the new leader, and drops the placement snapshot
+    popularity load vector on the new leader, and drops the placement snapshot
     cache (block locations were rebuilt from reports, so cached
     placements are stale).  The usage monitor itself carries over —
     popularity history is workload state, not metadata.
@@ -618,7 +615,7 @@ def rebind_aurora(system, namenode: Namenode) -> None:
     system.namenode = namenode
     namenode.access_listeners.append(system.monitor.record_access)
     namenode.placement_policy = LoadAwarePolicy()
-    namenode.load_provider = system.node_load
+    system.publish_loads()
     if system.config.movement_compression > 1.0:
         namenode.movement_compression = system.config.movement_compression
     system._snapshot_cache = PlacementSnapshotCache()

@@ -35,6 +35,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -47,6 +48,7 @@ from repro.dfs.integrity import CorruptionLedger
 from repro.dfs.namespace import NamespaceTree
 from repro.dfs.policies import BlockPlacementPolicy, DefaultHdfsPolicy
 from repro.dfs.replication import TransferService
+from repro.dfs.targets import PairIndex, TargetIndex
 from repro.errors import (
     CapacityExceededError,
     ChecksumError,
@@ -208,12 +210,23 @@ class Namenode:
         # Membership epoch: bumped every time any datanode's liveness
         # flips, including "silent" crashes injected directly on the
         # datanode object.  Lets membership-derived caches (the live-node
-        # set here, the migration-replay dead set in repro.aurora.bridge)
-        # revalidate with one integer compare instead of scanning every
-        # node.
+        # set and target index here, the migration-replay dead set in
+        # repro.aurora.bridge) revalidate with one integer compare
+        # instead of scanning every node.
         self._membership_epoch = 0
-        for dn in self.datanodes:
-            dn.on_liveness_change = self._bump_membership_epoch
+        self._decommissioning: Set[int] = set()
+        # Replica targets in (load, node_id) order; owns the load vector
+        # (see set_load_vector) and is patched through the datanode and
+        # lazy-ledger hooks installed below.
+        self._targets = TargetIndex(self.datanodes, self._accepts_replicas)
+        # Lazily deletable replicas: (block_id, node) pairs above target.
+        # A full node with a lazy replica can still take a copy, so the
+        # ledger re-keys a node in the target index when its first lazy
+        # replica arrives or its last one leaves.
+        self._lazy = PairIndex(on_node_change=self._targets.patch)
+        # Copies travelling towards a target: (block_id, target) pairs.
+        self._inflight = PairIndex()
+        self._attach_datanodes()
         self._live_cache: Set[int] = {
             dn.node_id for dn in self.datanodes if dn.alive
         }
@@ -223,8 +236,6 @@ class Namenode:
         self._files_by_id: Dict[int, FileMeta] = {}
         self._next_file_id = 0
         self._next_block_id = 0
-        # Lazily deletable replicas: (block_id, node) pairs above target.
-        self._lazy: Set[Tuple[int, int]] = set()
         # Corrupt-replica quarantine and integrity statistics.  A
         # quarantined replica keeps its block-map location (the bytes
         # are physically there) but leaves the readable set, is never a
@@ -232,8 +243,6 @@ class Namenode:
         # back to full verified replication — never when it is the last
         # remaining replica.
         self.integrity = CorruptionLedger()
-        self._inflight: Set[Tuple[int, int]] = set()
-        self._decommissioning: Set[int] = set()
         # Safe mode: mutations rejected until enough blocks have
         # reported a replica (see repro.dfs.safemode).
         self.safe_mode = False
@@ -247,9 +256,6 @@ class Namenode:
         # used by replicate-on-read mechanisms that need to know where
         # the bytes landed.
         self.read_listeners: List[Callable[[int, int, int, float], None]] = []
-        # Optional popularity-load metric for load-aware policies; defaults
-        # to disk usage when unset.
-        self.load_provider: Optional[Callable[[int], float]] = None
         # Compression applied to replication/migration traffic only
         # (the paper cites a 27x ratio making movement overhead
         # acceptable); None defers to the transfer service's default.
@@ -310,6 +316,25 @@ class Namenode:
 
     def _bump_membership_epoch(self) -> None:
         self._membership_epoch += 1
+        self._targets.invalidate()
+
+    def _attach_datanodes(self) -> None:
+        """Install the liveness and disk-usage hooks on every datanode."""
+        self._targets.datanodes = self.datanodes
+        for dn in self.datanodes:
+            dn.on_liveness_change = self._bump_membership_epoch
+            dn.on_usage_change = self._targets.patch
+
+    def adopt_datanodes(self, datanodes: List[Datanode]) -> None:
+        """Take over existing datanode objects (metadata failover).
+
+        Disks, liveness and heartbeat clocks survive; the hooks are
+        re-pointed at this namenode and membership-derived caches are
+        invalidated.
+        """
+        self.datanodes = datanodes
+        self._attach_datanodes()
+        self._bump_membership_epoch()
 
     def live_nodes(self) -> Set[int]:
         """Ids of datanodes currently alive.
@@ -377,7 +402,7 @@ class Namenode:
         # heartbeat service confirms a crash injected directly).
         for block_id in list(self.blockmap.blocks_on(node)):
             self.blockmap.remove_location(block_id, node)
-            self._lazy.discard((block_id, node))
+            self._lazy.discard(block_id, node)
         if re_replicate:
             self.check_replication()
 
@@ -433,7 +458,7 @@ class Namenode:
         lost = len(dn.blocks())
         for block_id in list(self.blockmap.blocks_on(node)):
             self.blockmap.remove_location(block_id, node)
-            self._lazy.discard((block_id, node))
+            self._lazy.discard(block_id, node)
         for block_id in dn.blocks():
             self.integrity.release(block_id, node)
         dn.wipe()
@@ -445,6 +470,23 @@ class Namenode:
             self.recover_node(node)  # rejoins with an empty block report
         self.check_replication()
         return lost
+
+    def retract_replica(self, block_id: int, node: int) -> None:
+        """Forget a replica the namenode believes in but the disk lacks.
+
+        Drops its block-map location, lazy mark and quarantine entry,
+        then the believed disk copy — the served namenode's block-report
+        reconciliation calls this when reality lost a replica.  The
+        next replication check re-copies the block.
+        """
+        if (block_id in self.blockmap
+                and node in self.blockmap.locations_view(block_id)):
+            self.blockmap.remove_location(block_id, node)
+        self._lazy.discard(block_id, node)
+        self.integrity.release(block_id, node)
+        dn = self.datanodes[node]
+        if dn.holds(block_id):
+            dn.erase(block_id)
 
     # -- data integrity ---------------------------------------------------------
 
@@ -473,7 +515,7 @@ class Namenode:
             block_id, detector, self.now, corrupted_at
         )
         # A corrupt replica is not reclaimable spare capacity.
-        self._lazy.discard((block_id, node))
+        self._lazy.discard(block_id, node)
         if _REG.enabled:
             _CORRUPT_REPORTED.labels(detector=detector).inc()
             _QUARANTINED.set(self.integrity.quarantined_count)
@@ -578,38 +620,58 @@ class Namenode:
 
         Lazily deletable replicas count as reclaimable space.
         """
+        # _accepts_replicas plus the holds test, inlined: the placement
+        # policies call this once per machine per written block.
         dn = self.datanodes[node]
-        if not dn.alive or dn.holds(block_id):
+        if not dn.alive or dn.holds(block_id) or node in self._decommissioning:
             return False
-        if node in self._decommissioning:
-            return False
-        if dn.free_blocks > 0:
-            return True
-        return any(pair[1] == node for pair in self._lazy)
+        return dn.free_blocks > 0 or bool(self._lazy.blocks_on(node))
+
+    def _accepts_replicas(self, node: int) -> bool:
+        """Whether ``node`` can take a replica of some block it lacks.
+
+        Membership test of the target index: alive, not draining, and a
+        free slot or a lazy replica to evict.
+        """
+        dn = self.datanodes[node]
+        return (dn.alive
+                and node not in self._decommissioning
+                and (dn.free_blocks > 0 or bool(self._lazy.blocks_on(node))))
 
     def node_load(self, node: int) -> float:
         """Load metric exposed to placement policies.
 
-        Defaults to disk usage; Aurora installs a popularity-based
-        provider via :attr:`load_provider`.
+        Disk usage until :meth:`set_load_vector` installs a vector;
+        then ``vector[node] + disk_weight * used_blocks``.
         """
-        if self.load_provider is not None:
-            return self.load_provider(node)
-        return float(self.datanodes[node].used_blocks)
+        return self._targets.load(node)
+
+    def set_load_vector(
+        self, vector: Optional[Sequence[float]], disk_weight: float = 0.0
+    ) -> None:
+        """Install the per-node load vector behind :meth:`node_load`.
+
+        Aurora publishes its popularity loads here every period;
+        ``None`` restores the disk-usage default.  The namenode keeps a
+        copy, so later edits to ``vector`` have no effect.
+        """
+        self._targets.set_vector(vector, disk_weight)
 
     def lazy_replicas(self) -> Set[Tuple[int, int]]:
         """Snapshot of (block, node) pairs pending lazy deletion."""
-        return set(self._lazy)
+        return self._lazy.pairs()
 
     def _ensure_space(self, node: int) -> None:
-        """Evict lazily deletable replicas until ``node`` has a free slot."""
+        """Evict lazily deletable replicas until ``node`` has a free slot.
+
+        Victims go lowest block id first.
+        """
         dn = self.datanodes[node]
         if dn.free_blocks > 0:
             return
-        evictable = [pair for pair in self._lazy if pair[1] == node]
-        for block_id, holder in evictable:
-            self._lazy.discard((block_id, holder))
-            self.blockmap.remove_location(block_id, holder)
+        for block_id in sorted(self._lazy.blocks_on(node)):
+            self._lazy.discard(block_id, node)
+            self.blockmap.remove_location(block_id, node)
             dn.erase(block_id)
             self.lazy_evictions += 1
             if _REG.enabled:
@@ -693,7 +755,7 @@ class Namenode:
                 # is erased by the block report when it comes back.
                 if dn.alive and dn.holds(block_id):
                     dn.erase(block_id)
-                self._lazy.discard((block_id, node))
+                self._lazy.discard(block_id, node)
             self.integrity.clear_block(block_id)
             self.blockmap.unregister(block_id)
         del self._files_by_id[meta.file_id]
@@ -889,7 +951,7 @@ class Namenode:
 
     def _active_replica_count(self, block_id: int) -> int:
         """Replicas not marked for lazy deletion or quarantined."""
-        lazy_here = sum(1 for pair in self._lazy if pair[0] == block_id)
+        lazy_here = len(self._lazy.nodes_of(block_id))
         locations = self.blockmap.locations(block_id)
         quarantined_here = sum(
             1 for node in self.integrity.nodes_for(block_id)
@@ -901,10 +963,10 @@ class Namenode:
     def _reclaim_lazy(self, block_id: int, want: int) -> int:
         """Un-mark up to ``want`` lazy replicas of ``block_id``; free."""
         reclaimed = 0
-        for pair in sorted(p for p in self._lazy if p[0] == block_id):
+        for node in sorted(self._lazy.nodes_of(block_id)):
             if reclaimed >= want:
                 break
-            self._lazy.discard(pair)
+            self._lazy.discard(block_id, node)
             reclaimed += 1
             self.reclaimed_replicas += 1
             if _REG.enabled:
@@ -932,7 +994,7 @@ class Namenode:
             racks = {self.topology.rack_of[n] for n in remaining}
             if len(racks) < meta.rack_spread:
                 continue
-            self._lazy.add((block_id, node))
+            self._lazy.add(block_id, node)
             count -= 1
 
     def replicate_block(
@@ -952,14 +1014,13 @@ class Namenode:
         pushed back onto the re-replication queue for the next check.
         """
         meta = self.blockmap.meta(block_id)
-        live = self.live_nodes()
         # Copy-from-verified-source: a quarantined replica would clone
         # its corruption into the new copy.
         sources = sorted(self.verified_locations(block_id))
         if not sources:
             return False
         if target is None:
-            target = self._pick_replication_target(block_id, meta, live)
+            target = self._pick_replication_target(block_id, meta)
             if target is None:
                 return False
         if (block_id, target) in self._inflight:
@@ -987,7 +1048,7 @@ class Namenode:
     ) -> None:
         """Issue one replication transfer attempt with retry wiring."""
         meta = self.blockmap.meta(block_id)
-        self._inflight.add((block_id, target))
+        self._inflight.add(block_id, target)
         copy_span = None
         if _TRACER.enabled:
             # Child of the open recovery episode, when there is one;
@@ -1030,12 +1091,12 @@ class Namenode:
             ))
 
         def failed() -> None:
-            self._inflight.discard((block_id, target))
+            self._inflight.discard(block_id, target)
             _finish_copy("failed")
             handle_failure()
 
         def complete() -> None:
-            self._inflight.discard((block_id, target))
+            self._inflight.discard(block_id, target)
             if block_id not in self.blockmap:
                 _finish_copy("block_deleted")
                 self._end_replication()
@@ -1106,14 +1167,13 @@ class Namenode:
             self._end_replication()
             return
         meta = self.blockmap.meta(block_id)
-        live = self.live_nodes()
         sources = sorted(self.verified_locations(block_id))
         if not sources:
             self._abandon_replication(block_id)
             return
         fresh = [s for s in sources if s not in tried]
         source = min(fresh or sources, key=self.transfers.active_transfers)
-        target = self._pick_replication_target(block_id, meta, live)
+        target = self._pick_replication_target(block_id, meta)
         if target is None:
             self._abandon_replication(block_id)
             return
@@ -1144,27 +1204,32 @@ class Namenode:
             self.sim.schedule(delay, fn)
 
     def _pick_replication_target(
-        self, block_id: int, meta: BlockMeta, live: Set[int]
+        self, block_id: int, meta: BlockMeta
     ) -> Optional[int]:
-        holders = self.blockmap.locations(block_id)
-        holder_racks = {self.topology.rack_of[n] for n in holders}
-        inflight_targets = {t for (b, t) in self._inflight if b == block_id}
-        candidates = [
-            node for node in live
-            if node not in holders
-            and node not in inflight_targets
-            and self.can_store(node, block_id)
-        ]
-        if not candidates:
-            return None
-        if len(holder_racks) < meta.rack_spread:
-            fresh = [
-                node for node in candidates
-                if self.topology.rack_of[node] not in holder_racks
-            ]
-            if fresh:
-                candidates = fresh
-        return min(candidates, key=self.node_load)
+        """Least-loaded node that can take a new replica of ``block_id``.
+
+        Skips the block's holders and in-flight targets.  While the
+        block is short of its rack spread a node on a new rack wins;
+        without one, the least-loaded node anywhere.  Load ties go to
+        the lowest node id.  Walks the target index from the front, so
+        the cost is the number of nodes skipped, not the cluster size.
+        """
+        holders = self.blockmap.locations_view(block_id)
+        inflight = self._inflight.nodes_of(block_id)
+        rack_of = self.topology.rack_of
+        holder_racks = {rack_of[n] for n in holders}
+        short_of_spread = len(holder_racks) < meta.rack_spread
+        datanodes = self.datanodes
+        fallback: Optional[int] = None
+        for node in self._targets.nodes():
+            if (node in holders or node in inflight
+                    or datanodes[node].holds(block_id)):
+                continue
+            if not short_of_spread or rack_of[node] not in holder_racks:
+                return node
+            if fallback is None:
+                fallback = node
+        return fallback
 
     def move_block(
         self, block_id: int, src: int, dst: int,
@@ -1230,7 +1295,7 @@ class Namenode:
     ) -> None:
         """Issue one migration copy attempt with rollback/retarget wiring."""
         meta = self.blockmap.meta(block_id)
-        self._inflight.add((block_id, dst))
+        self._inflight.add(block_id, dst)
 
         def handle_failure() -> None:
             # Make-before-break means rollback is free: the source
@@ -1257,11 +1322,11 @@ class Namenode:
             ))
 
         def failed() -> None:
-            self._inflight.discard((block_id, dst))
+            self._inflight.discard(block_id, dst)
             handle_failure()
 
         def complete() -> None:
-            self._inflight.discard((block_id, dst))
+            self._inflight.discard(block_id, dst)
             if block_id not in self.blockmap:
                 return
             dn = self.datanodes[dst]
@@ -1291,7 +1356,7 @@ class Namenode:
             self.blockmap.add_location(block_id, dst)
             if src in self.blockmap.locations(block_id):
                 self.blockmap.remove_location(block_id, src)
-                self._lazy.discard((block_id, src))
+                self._lazy.discard(block_id, src)
                 src_dn = self.datanodes[src]
                 if src_dn.alive and src_dn.holds(block_id):
                     src_dn.erase(block_id)
@@ -1319,28 +1384,39 @@ class Namenode:
                 or not self.datanodes[src].alive):
             return  # the move is moot; replication repair owns the block
         meta = self.blockmap.meta(block_id)
-        inflight_targets = {t for (b, t) in self._inflight if b == block_id}
-        candidates = [
-            node for node in self.live_nodes()
-            if node not in self.blockmap.locations(block_id)
-            and node not in failed_dsts
-            and node not in inflight_targets
-            and self.can_store(node, block_id)
-            and self._spread_ok_after_move(block_id, meta, src, node)
-        ]
-        if not candidates:
+        dst = self._pick_migration_target(block_id, meta, src, failed_dsts)
+        if dst is None:
             _LOG.warning(
                 "migration of block %d off %d abandoned: "
                 "no alternate destination", block_id, src,
             )
             return
-        dst = min(candidates, key=self.node_load)
         self.migration_retargets += 1
         if _REG.enabled:
             _MIGRATION_RETARGETS.inc()
         self._start_migration(
             block_id, src, dst, on_done, attempt, failed_dsts, waited,
         )
+
+    def _pick_migration_target(
+        self, block_id: int, meta: BlockMeta, src: int,
+        exclude: Set[int],
+    ) -> Optional[int]:
+        """Least-loaded destination for moving ``block_id`` off ``src``.
+
+        The same walk as :meth:`_pick_replication_target`, also skipping
+        ``exclude`` and any node that would break the rack spread.
+        """
+        holders = self.blockmap.locations_view(block_id)
+        inflight = self._inflight.nodes_of(block_id)
+        datanodes = self.datanodes
+        for node in self._targets.nodes():
+            if (node in holders or node in exclude or node in inflight
+                    or datanodes[node].holds(block_id)):
+                continue
+            if self._spread_ok_after_move(block_id, meta, src, node):
+                return node
+        return None
 
     def decommission_node(self, node: int) -> int:
         """Gracefully drain ``node``: migrate all its replicas elsewhere.
@@ -1357,10 +1433,11 @@ class Namenode:
                 _NODE_EVENTS.labels(event="decommission").inc()
             _LOG.info("decommissioning datanode %d", node)
         self._decommissioning.add(node)
+        self._targets.patch(node)
         started = 0
         for block_id in list(self.blockmap.blocks_on(node)):
             if (block_id, node) in self._lazy:
-                self._lazy.discard((block_id, node))
+                self._lazy.discard(block_id, node)
                 self.blockmap.remove_location(block_id, node)
                 if self.datanodes[node].alive:
                     self.datanodes[node].erase(block_id)
@@ -1369,9 +1446,7 @@ class Namenode:
                     _LAZY_EVICTIONS.inc()
                 continue
             meta = self.blockmap.meta(block_id)
-            target = self._pick_replication_target(
-                block_id, meta, self.live_nodes()
-            )
+            target = self._pick_replication_target(block_id, meta)
             if target is not None and self.move_block(block_id, node, target):
                 started += 1
                 continue
@@ -1398,6 +1473,7 @@ class Namenode:
     def recommission_node(self, node: int) -> None:
         """Return a draining or drained node to normal service."""
         self._decommissioning.discard(node)
+        self._targets.patch(node)
 
     def check_replication(self) -> int:
         """Queue and start repair for under-replicated / -spread blocks.
@@ -1479,8 +1555,8 @@ class Namenode:
             1 for n in self.blockmap.live_locations(block_id, live)
             if not self.integrity.is_quarantined(block_id, n)
         )
-        inflight = sum(1 for (b, _t) in self._inflight if b == block_id)
-        inflight += self._retry_pending.get(block_id, 0)
+        inflight = (len(self._inflight.nodes_of(block_id))
+                    + self._retry_pending.get(block_id, 0))
         missing = meta.replication_factor - live_count - inflight
         if (missing <= 0 and inflight == 0
                 and self.blockmap.rack_spread(block_id) < meta.rack_spread):
@@ -1554,9 +1630,14 @@ class Namenode:
         """Cross-check every piece of namenode state; raise on drift.
 
         Verifies that the block map, the datanode disks, the lazy set
-        and the namespace agree.  Used by the fuzz tests after every
-        random operation batch.
+        and the namespace agree, and that the lazy ledger, the in-flight
+        index and the target index equal their from-scratch
+        recomputation.  Used by the fuzz tests after every random
+        operation batch.
         """
+        self._lazy.audit()
+        self._inflight.audit()
+        self._targets.audit()
         for block_id in self.blockmap.block_ids():
             meta = self.blockmap.meta(block_id)
             assert meta.file_id in self._files_by_id, (

@@ -386,12 +386,7 @@ class NamenodeServer:
             allocated = nn.pending_writes.get((block_id, node))
             if allocated is not None and now - allocated < nn.write_grace:
                 continue
-            if (block_id in nn.blockmap
-                    and node in nn.blockmap.locations(block_id)):
-                nn.blockmap.remove_location(block_id, node)
-            nn._lazy.discard((block_id, node))
-            nn.integrity.release(block_id, node)
-            dn.erase(block_id)
+            nn.retract_replica(block_id, node)
         # Reality holding an unbelieved replica is handled by the tick's
         # delete push (belief is authoritative); re-registration of
         # believed blocks goes through the standard report path.

@@ -229,7 +229,7 @@ class TestAuroraSystem:
         holders = nn.blockmap.locations(block)
         aurora.refresh_loads({block: 9.0})
         for node in holders:
-            assert aurora.node_load(node) == pytest.approx(3.0, abs=1e-3)
+            assert nn.node_load(node) == pytest.approx(3.0, abs=1e-3)
 
     def test_periodic_scheduling(self):
         sim = Simulation()

@@ -283,9 +283,9 @@ class TestReplicationManagement:
 class TestLoadAwarePolicy:
     def test_targets_least_loaded_nodes(self):
         nn = make_namenode(policy=LoadAwarePolicy())
-        loads = {n: 0.0 for n in nn.topology.machines}
+        loads = [0.0] * nn.topology.num_machines
         loads[0] = 100.0
-        nn.load_provider = lambda node: loads[node]
+        nn.set_load_vector(loads)
         meta = nn.create_file("/a", num_blocks=1)
         assert 0 not in nn.blockmap.locations(meta.block_ids[0])
 
