@@ -150,31 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="instead run the solver scale study: incremental local-search "
              "engine timed against the naive reference solver",
     )
-    scale.add_argument(
-        "--columnar", action="store_true",
-        help="instead run the columnar engine scale study: array-backed "
-             "placement state timed against the dict/heap incremental "
-             "engine, plus the rack-partitioned solver",
-    )
-    scale.add_argument(
-        "--machines", type=int, default=None,
-        help="columnar study: run one point with ~N machines "
-             "(racks of 16) instead of the default size ladder",
-    )
-    scale.add_argument(
-        "--blocks", type=int, default=None,
-        help="columnar study: blocks for the --machines point "
-             "(default: 10 per machine)",
-    )
-    scale.add_argument(
-        "--ops", type=int, default=None,
-        help="columnar study: operation budget per engine for the "
-             "--machines point (0 = run to convergence; default 8000)",
-    )
-    scale.add_argument(
-        "--partitions", type=int, default=4,
-        help="columnar study: rack partitions for the partitioned solver",
-    )
 
     sensitivity = sub.add_parser(
         "sensitivity", help="sweep the W and K operator knobs (E16)"
@@ -566,43 +541,13 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     from repro.experiments.scale import (
-        render_columnar_scale_study,
         render_scale_study,
         render_solver_scale_study,
-        run_columnar_scale_study,
         run_scale_study,
         run_solver_scale_study,
     )
 
     args.out.mkdir(parents=True, exist_ok=True)
-    if args.columnar:
-        if args.machines is not None:
-            per_rack = 16
-            num_racks = max(2, args.machines // per_rack)
-            num_blocks = args.blocks
-            if num_blocks is None:
-                num_blocks = 10 * num_racks * per_rack
-            budget = 8000 if args.ops is None else args.ops
-            sizes = ((num_racks, per_rack, num_blocks,
-                      None if budget == 0 else budget),)
-            columnar_points = run_columnar_scale_study(
-                sizes=sizes,
-                seed=args.seed,
-                num_partitions=args.partitions,
-                jobs=args.jobs,
-            )
-        else:
-            columnar_points = run_columnar_scale_study(
-                seed=args.seed,
-                num_partitions=args.partitions,
-                jobs=args.jobs,
-            )
-        text = render_columnar_scale_study(columnar_points)
-        target = args.out / "columnar_scale.txt"
-        target.write_text(text + "\n", encoding="utf-8")
-        print(text)
-        print(f"[written {target}]")
-        return 0 if all(p.healthy for p in columnar_points) else 1
     if args.solver:
         solver_points = run_solver_scale_study(seed=args.seed)
         text = render_solver_scale_study(solver_points)

@@ -21,7 +21,6 @@ from repro.core.bounds import (
     empirical_ratio,
     max_share_bound,
 )
-from repro.core.columnar import ColumnarPlacementState, columnar_from_state
 from repro.core.initial_placement import place_all_blocks, place_block
 from repro.core.instance import BlockSpec, PlacementProblem, ProblemVariant
 from repro.core.local_search import (
@@ -64,8 +63,6 @@ __all__ = [
     "OperationOutcome",
     "SwapOp",
     "PlacementState",
-    "ColumnarPlacementState",
-    "columnar_from_state",
     "certified_lower_bound",
     "lp_lower_bound",
     "RepFactorResult",

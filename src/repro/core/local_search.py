@@ -18,12 +18,16 @@ identical to the naive transcription in :mod:`repro.core.reference`
 (pinned by ``tests/core/test_differential.py``) but does per-iteration
 work proportional to what the last operation changed:
 
-* machine/rack extremes and the global objective come from the placement
-  state's lazy heap indices (O(log M) amortized) instead of load scans;
+* machine extremes and the global objective are numpy reductions over
+  the placement state's load vector, and every rack's extremes come
+  from its dirty-rack cache
+  (:meth:`~repro.core.placement.PlacementState.rack_extremes`), so
+  Algorithm 2 ranks racks with array sorts instead of Python scans;
 * candidate blocks are walked directly on the state's persistent
   per-machine ``(share, block_id)`` indices, skipping shared blocks
   inline, instead of rebuilding sorted exclusive lists per machine pair;
-* a :class:`_PairPruner` memoizes machine pairs proven exhausted, keyed
+* a :class:`_PairPruner` (and, for the intra-rack sweep, the array
+  :class:`_IntraRackMemo`) memoizes machine pairs proven exhausted, keyed
   on both endpoints' change epochs and the current objective, so the
   rack-pair sweep only re-probes pairs something actually touched;
 * the objective is threaded through the loop and refreshed only after an
@@ -560,7 +564,7 @@ class _PairPruner:
 
 
 class _IntraRackMemo:
-    """Vectorized exhausted-pair memo for the columnar intra-rack phase.
+    """Vectorized exhausted-pair memo for Algorithm 2's intra-rack phase.
 
     Stores per rack the last extreme pair ``(src, dst)`` proven to admit
     no operation, with both endpoints' epochs and the objective at proof
@@ -609,7 +613,7 @@ def _sweep_intra_racks(
     """
     src_arr = high_arr[order]
     dst_arr = low_arr[order]
-    epochs = state._machine_epoch  # int column on columnar states
+    epochs = state._machine_epoch
     hit = (
         (memo.src[order] == src_arr)
         & (memo.dst[order] == dst_arr)
@@ -695,54 +699,33 @@ def balance_node_level(
     return stats
 
 
-def _rack_pairs_by_gap(state: PlacementState) -> List[Tuple[int, int]]:
-    """Ordered rack pairs ranked by extreme-machine load gap, largest first.
-
-    The gap between the source rack's hottest machine and the destination
-    rack's coldest machine bounds what an inter-rack operation between the
-    pair's extremes can achieve.  Ranking by *total* rack load (the old
-    behaviour) let a large rack of lightly-loaded machines outrank a small
-    rack containing the true hottest machine, stranding its load; see the
-    heterogeneous-rack regression test.  Pairs with no positive gap cannot
-    yield an improving operation and are dropped.
-    """
-    topo = state.topology
-    racks = topo.racks
-    if topo.num_racks < 2:
-        return []
-    hottest = [
-        state.load(state.argmax_machine_in_rack(rack)) for rack in racks
-    ]
-    coldest = [
-        state.load(state.argmin_machine_in_rack(rack)) for rack in racks
-    ]
-    ranked = []
-    for src_rack in racks:
-        for dst_rack in racks:
-            if src_rack == dst_rack:
-                continue
-            gap = hottest[src_rack] - coldest[dst_rack]
-            if gap > _TOLERANCE:
-                ranked.append((-gap, src_rack, dst_rack))
-    ranked.sort()
-    return [(src_rack, dst_rack) for _, src_rack, dst_rack in ranked]
-
-
 def _ranked_rack_pairs_lazy(
     hottest: np.ndarray, coldest: np.ndarray
 ) -> Iterator[Tuple[int, int]]:
-    """Rack pairs in exactly ``_rack_pairs_by_gap`` order, lazily.
+    """Inter-rack pairs, largest extreme-machine load gap first, lazily.
+
+    ``hottest[r]``/``coldest[r]`` are rack ``r``'s extreme machine loads.
+    The gap between the source rack's hottest machine and the
+    destination rack's coldest machine bounds what an inter-rack
+    operation between the pair's extremes can achieve.  Ranking by
+    *total* rack load would let a large rack of lightly-loaded machines
+    outrank a small rack containing the true hottest machine, stranding
+    its load; see the heterogeneous-rack regression test.  Pairs with no
+    positive gap cannot yield an improving operation and are dropped.
 
     Enumerates ``(src_rack, dst_rack)`` in ascending ``(-gap, src, dst)``
-    order without materializing the ``R^2`` pair matrix: racks are
-    sorted once by hottest (descending) and coldest (ascending) load,
-    and a frontier heap walks the implied sorted-sum grid (the classic
-    lazy "sorted A + B" enumeration).  Gaps along the grid are monotone,
-    and stable argsort puts tied racks in ascending id order, so each
-    grid cell's key is strictly greater than its predecessors' — the
-    heap therefore pops pairs in the exact order the eager tuple sort
-    produces.  Pairs stop at the first non-positive gap (everything
-    after is smaller still).
+    order — the eager tuple sort of the reference solver's
+    ``_rack_pairs_by_gap`` — without materializing the ``R^2`` pair
+    matrix: racks are sorted once by hottest (descending) and coldest
+    (ascending) load, and a frontier heap walks the implied sorted-sum
+    grid (the classic lazy "sorted A + B" enumeration).  Float
+    subtraction is monotone, so gaps never increase along a grid row or
+    column and every unvisited cell's gap is at most that of some
+    frontier cell.  Distinct loads can still round to the *same* gap,
+    though, and such tied cells need not reach the frontier in rack-id
+    order; so all cells of the current largest gap are drained first and
+    yielded sorted by ``(src, dst)``.  Pairs stop at the first
+    non-positive gap (everything after is smaller still).
 
     Most Algorithm 2 iterations consume only the first few pairs before
     finding an operation, so this turns a per-iteration ``O(R^2 log R)``
@@ -755,114 +738,65 @@ def _ranked_rack_pairs_lazy(
     by_cold = np.argsort(coldest, kind="stable")
     hot_sorted = hottest[by_hot]
     cold_sorted = coldest[by_cold]
-    frontier = [
-        (
-            -(float(hot_sorted[0]) - float(cold_sorted[0])),
-            int(by_hot[0]),
-            int(by_cold[0]),
-            0,
-            0,
-        )
-    ]
+
+    def cell(i: int, j: int) -> Tuple[float, int, int]:
+        return (-(float(hot_sorted[i]) - float(cold_sorted[j])), i, j)
+
+    frontier = [cell(0, 0)]
     while frontier:
-        neg_gap, src_rack, dst_rack, i, j = heapq.heappop(frontier)
+        neg_gap = frontier[0][0]
         if -neg_gap <= _TOLERANCE:
             return
-        if src_rack != dst_rack:
-            yield src_rack, dst_rack
-        if j + 1 < num_racks:
-            heapq.heappush(frontier, (
-                -(float(hot_sorted[i]) - float(cold_sorted[j + 1])),
-                int(by_hot[i]),
-                int(by_cold[j + 1]),
-                i,
-                j + 1,
-            ))
-        if j == 0 and i + 1 < num_racks:
-            heapq.heappush(frontier, (
-                -(float(hot_sorted[i + 1]) - float(cold_sorted[0])),
-                int(by_hot[i + 1]),
-                int(by_cold[0]),
-                i + 1,
-                0,
-            ))
+        tied = []
+        while frontier and frontier[0][0] == neg_gap:
+            _, i, j = heapq.heappop(frontier)
+            tied.append((int(by_hot[i]), int(by_cold[j])))
+            if j + 1 < num_racks:
+                heapq.heappush(frontier, cell(i, j + 1))
+            if j == 0 and i + 1 < num_racks:
+                heapq.heappush(frontier, cell(i + 1, 0))
+        tied.sort()
+        for src_rack, dst_rack in tied:
+            if src_rack != dst_rack:
+                yield src_rack, dst_rack
 
 
 def _find_rack_aware_operation(
     state: PlacementState,
     policy: AdmissibilityPolicy,
     pruner: _PairPruner,
+    intra_memo: _IntraRackMemo,
     global_cost: float,
     stats: Optional[SearchStats] = None,
-    intra_memo: Optional[_IntraRackMemo] = None,
 ) -> Optional[Operation]:
     """One admissible operation for Algorithm 2's combined search space.
 
-    When the state exposes vectorized bulk extremes (the columnar
-    engine's :meth:`~repro.core.columnar.ColumnarPlacementState.rack_extremes`),
-    every rack's extreme machine and load come from one pass of segment
-    reductions and the inter-rack pair ranking is enumerated lazily; the
-    probe order — and hence the chosen operation — is identical to the
-    per-rack query path (pinned by the columnar differential tests).
-    No state mutation happens between probes, so extremes computed once
+    Every rack's extreme machines and loads come from the state's
+    dirty-rack cache.  The intra-rack phase probes each rack's extreme
+    pair, worst rack first: the reference solver's descending
+    ``(gap, high, low)`` tuple sort, expressed as a lexsort over the
+    same columns.  The inter-rack phase then probes rack pairs in
+    :func:`_ranked_rack_pairs_lazy` order.  The probe order — and hence
+    the chosen operation — is identical to the reference solver's.  No
+    state mutation happens between probes, so the extremes read once
     stay valid for the whole call.
     """
-    rack_extremes = getattr(state, "rack_extremes", None)
-    if rack_extremes is not None:
-        # Columnar fast path.  Intra-rack phase: every rack's extremes
-        # come from one pass of segment reductions; the worst-rack-first
-        # order is the eager path's descending (gap, high, low) tuple
-        # sort, expressed as a lexsort over the same columns.
-        high_arr, low_arr, hottest, coldest = rack_extremes()
-        gaps = hottest - coldest
-        idx = np.nonzero(gaps > _TOLERANCE)[0]
-        if len(idx):
-            order = idx[np.lexsort((
-                -low_arr[idx], -high_arr[idx], -gaps[idx]
-            ))]
-            if intra_memo is not None:
-                op = _sweep_intra_racks(
-                    state, policy, intra_memo, order,
-                    high_arr, low_arr, global_cost, stats,
-                )
-                if op is not None:
-                    return op
-            else:
-                for rack in order:
-                    op = pruner.find(
-                        int(high_arr[rack]), int(low_arr[rack]),
-                        policy, global_cost, stats,
-                    )
-                    if op is not None:
-                        return op
-        # Inter-rack phase, lazily ranked.
-        for src_rack, dst_rack in _ranked_rack_pairs_lazy(hottest, coldest):
-            op = pruner.find(
-                int(high_arr[src_rack]), int(low_arr[dst_rack]),
-                policy, global_cost, stats,
-            )
-            if op is not None:
-                return op
-        return None
-    # Intra-rack phase: balance the extremes of each rack, worst rack first.
-    intra = []
-    for rack in state.topology.racks:
-        high = state.argmax_machine_in_rack(rack)
-        low = state.argmin_machine_in_rack(rack)
-        gap = state.load(high) - state.load(low)
-        if gap > _TOLERANCE:
-            intra.append((gap, high, low))
-    intra.sort(reverse=True)
-    for _, high, low in intra:
-        op = pruner.find(high, low, policy, global_cost, stats)
+    high_arr, low_arr, hottest, coldest = state.rack_extremes()
+    gaps = hottest - coldest
+    idx = np.nonzero(gaps > _TOLERANCE)[0]
+    if len(idx):
+        order = idx[np.lexsort((-low_arr[idx], -high_arr[idx], -gaps[idx]))]
+        op = _sweep_intra_racks(
+            state, policy, intra_memo, order,
+            high_arr, low_arr, global_cost, stats,
+        )
         if op is not None:
             return op
-    # Inter-rack phase: RackMove / RackSwap between extreme machines of
-    # rack pairs, largest extreme-machine gaps first.
-    for src_rack, dst_rack in _rack_pairs_by_gap(state):
-        src = state.argmax_machine_in_rack(src_rack)
-        dst = state.argmin_machine_in_rack(dst_rack)
-        op = pruner.find(src, dst, policy, global_cost, stats)
+    for src_rack, dst_rack in _ranked_rack_pairs_lazy(hottest, coldest):
+        op = pruner.find(
+            int(high_arr[src_rack]), int(low_arr[dst_rack]),
+            policy, global_cost, stats,
+        )
         if op is not None:
             return op
     return None
@@ -884,17 +818,13 @@ def balance_rack_aware(
     policy = policy or AlwaysAdmissible()
     started = time.perf_counter()
     pruner = _PairPruner(state)
-    intra_memo = (
-        _IntraRackMemo(state.topology.num_racks)
-        if getattr(state, "rack_extremes", None) is not None
-        else None
-    )
+    intra_memo = _IntraRackMemo(state.topology.num_racks)
     current_cost = state.cost()
     stats = SearchStats(initial_cost=current_cost, final_cost=current_cost)
     while max_operations is None or stats.total_operations < max_operations:
         stats.iterations += 1
         op = _find_rack_aware_operation(
-            state, policy, pruner, current_cost, stats, intra_memo
+            state, policy, pruner, intra_memo, current_cost, stats
         )
         if op is None:
             stats.converged = True

@@ -15,25 +15,30 @@ All local-search operations of the paper (``Move``, ``Swap``, ``RackMove``,
 ``RackSwap``) and the replication-factor changes of Algorithm 5 reduce to
 :meth:`add_replica`, :meth:`remove_replica`, :meth:`move` and :meth:`swap`.
 
-The state also maintains three search indices so the local search
-(:mod:`repro.core.local_search`) runs incrementally instead of rescanning
-the cluster per iteration:
+The state also maintains the search indices the local search
+(:mod:`repro.core.local_search`) reads, so it runs incrementally instead
+of rescanning the cluster in Python per iteration:
 
-* **Load extremes** — lazy max/min heaps over machine loads, one global
-  pair plus one pair per rack.  Every load change pushes fresh entries
-  stamped with a per-machine version; queries pop stale entries, so
-  :meth:`argmax_machine`, :meth:`argmin_machine`, :meth:`cost` and the
-  per-rack variants are O(log M) amortized.  Tie-breaking is by lowest
-  machine id, matching the ``argmax``/``argmin`` first-index convention
-  the scanning implementation had.
+* **Load extremes** — the global extremes (:meth:`cost`,
+  :meth:`argmax_machine`, ...) are ``O(M)`` numpy reductions over the
+  dense load vector.  The per-rack extremes of Algorithm 2 are cached in
+  four ``(R,)`` columns served by :meth:`rack_extremes`: a load change
+  marks its rack dirty, and the next query rescans only dirty racks.
+  Ties go to the lowest machine id, the first-index convention of
+  ``argmax``/``argmin`` that the reference solver's scans use, so both
+  solvers pick the same machine when loads tie.
 * **Share indices** — one sorted ``(share, block_id)`` list per machine,
   delta-updated on every mutation (including the share changes a
   replication-factor change inflicts on *all* holders of a block).
-* **Machine epochs** — a counter per machine, bumped whenever anything
-  that could affect a local-search probe touching the machine changes:
-  its load, its block set, or the share/rack-spread of any block it
-  holds (hence every mutation bumps *all* holders of the touched block).
-  The search engine keys its exhausted-pair memo on these epochs.
+* **Machine epochs** — an ``(M,)`` int64 column, bumped for a machine
+  whenever anything that could affect a local-search probe touching it
+  changes: its load, its block set, or the share/rack-spread of any
+  block it holds (hence every mutation bumps *all* holders of the
+  touched block).  The search engine keys its exhausted-pair memos on
+  these epochs and compares whole epoch vectors at once.
+
+Holder sets stay sparse: a block has a handful of replicas, and a dense
+``M x B`` incidence matrix would not fit at 10k machines.
 
 Loads are floats updated incrementally; :meth:`recompute` rebuilds them
 from scratch and runs automatically every ``_RECOMPUTE_INTERVAL`` mutations
@@ -43,7 +48,7 @@ is used heavily by the test suite.
 
 from __future__ import annotations
 
-import heapq
+import sys
 from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
@@ -78,49 +83,20 @@ class PlacementState:
             spec.block_id: {} for spec in problem
         }
         self._mutations = 0
-        # Search indices (see module docstring): per-machine sorted
-        # (share, block_id) lists, change epochs, and lazy extreme heaps.
+        # Search indices (see module docstring).
         self._share_index: List[List[Tuple[float, int]]] = [
             [] for _ in topo.machines
         ]
-        self._machine_epoch: List[int] = [0] * topo.num_machines
-        self._load_stamp: List[int] = [0] * topo.num_machines
-        self._init_load_heaps()
-
-    def _init_load_heaps(self) -> None:
-        """(Re)build the four lazy extreme-heap families from ``_loads``.
-
-        Entries are ``(keyed load, machine, stamp)``; an entry is valid
-        iff its stamp equals the machine's current ``_load_stamp``.  The
-        invariant maintained everywhere: every machine's latest entry is
-        present in all four heaps.
-        """
-        topo = self.problem.topology
-        loads = self._loads
-        stamps = self._load_stamp
-        self._max_heap: List[Tuple[float, int, int]] = [
-            (-float(loads[m]), m, stamps[m]) for m in topo.machines
+        self._machine_epoch = np.zeros(topo.num_machines, dtype=np.int64)
+        self._rack_members: List[np.ndarray] = [
+            np.asarray(topo.machines_in_rack(rack), dtype=np.intp)
+            for rack in topo.racks
         ]
-        self._min_heap: List[Tuple[float, int, int]] = [
-            (float(loads[m]), m, stamps[m]) for m in topo.machines
-        ]
-        self._rack_max_heaps: List[List[Tuple[float, int, int]]] = []
-        self._rack_min_heaps: List[List[Tuple[float, int, int]]] = []
-        for rack in topo.racks:
-            members = topo.machines_in_rack(rack)
-            self._rack_max_heaps.append(
-                [(-float(loads[m]), m, stamps[m]) for m in members]
-            )
-            self._rack_min_heaps.append(
-                [(float(loads[m]), m, stamps[m]) for m in members]
-            )
-        for heap in (self._max_heap, self._min_heap):
-            heapq.heapify(heap)
-        for heaps in (self._rack_max_heaps, self._rack_min_heaps):
-            for heap in heaps:
-                heapq.heapify(heap)
-        # Compaction threshold: rebuild once stale entries dominate.
-        self._heap_compact_at = 8 * topo.num_machines + 64
+        self._ext_high = np.zeros(topo.num_racks, dtype=np.int64)
+        self._ext_low = np.zeros(topo.num_racks, dtype=np.int64)
+        self._ext_hot = np.zeros(topo.num_racks, dtype=np.float64)
+        self._ext_cold = np.zeros(topo.num_racks, dtype=np.float64)
+        self._ext_dirty: Set[int] = set(topo.racks)
 
     # -- basic queries -------------------------------------------------------
 
@@ -170,7 +146,7 @@ class PlacementState:
         last reading could alter the outcome of a local-search probe
         with ``machine`` as an endpoint.
         """
-        return self._machine_epoch[machine]
+        return int(self._machine_epoch[machine])
 
     def has_replica(self, block_id: int, machine: int) -> bool:
         """Whether ``machine`` holds a replica of ``block_id``."""
@@ -219,20 +195,20 @@ class PlacementState:
         return self._loads.copy()
 
     def cost(self) -> float:
-        """Objective value ``lambda = max_m L_m`` (O(log M) amortized)."""
-        return -self._valid_top(self._max_heap)[0]
+        """Objective value ``lambda = max_m L_m``."""
+        return float(self._loads.max())
 
     def min_load(self) -> float:
         """Smallest machine load in the cluster."""
-        return self._valid_top(self._min_heap)[0]
+        return float(self._loads.min())
 
     def argmax_machine(self) -> int:
         """The machine with the highest load (lowest id on ties)."""
-        return self._valid_top(self._max_heap)[1]
+        return int(self._loads.argmax())
 
     def argmin_machine(self) -> int:
         """The machine with the lowest load (lowest id on ties)."""
-        return self._valid_top(self._min_heap)[1]
+        return int(self._loads.argmin())
 
     def rack_load(self, rack: int) -> float:
         """Total load of the machines in ``rack``."""
@@ -245,12 +221,39 @@ class PlacementState:
     def argmax_machine_in_rack(self, rack: int) -> int:
         """The highest-loaded machine within ``rack`` (lowest id on ties)."""
         self.topology.machines_in_rack(rack)  # validates the rack id
-        return self._valid_top(self._rack_max_heaps[rack])[1]
+        return int(self.rack_extremes()[0][rack])
 
     def argmin_machine_in_rack(self, rack: int) -> int:
         """The lowest-loaded machine within ``rack`` (lowest id on ties)."""
         self.topology.machines_in_rack(rack)  # validates the rack id
-        return self._valid_top(self._rack_min_heaps[rack])[1]
+        return int(self.rack_extremes()[1][rack])
+
+    def rack_extremes(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(high_machine, low_machine, hottest, coldest)`` for every rack.
+
+        The machine columns hold each rack's hottest and coldest machine
+        (lowest id on ties); the load columns hold their loads,
+        bit-identical to :meth:`load` of those machines.  Only racks
+        whose loads changed since the last call are rescanned.  Returns
+        the internal arrays: read-only, and stale after the next
+        mutation.
+        """
+        dirty = self._ext_dirty
+        if dirty:
+            loads = self._loads
+            for rack in dirty:
+                members = self._rack_members[rack]
+                segment = loads[members]
+                hi = int(segment.argmax())
+                lo = int(segment.argmin())
+                self._ext_high[rack] = members[hi]
+                self._ext_low[rack] = members[lo]
+                self._ext_hot[rack] = segment[hi]
+                self._ext_cold[rack] = segment[lo]
+            dirty.clear()
+        return self._ext_high, self._ext_low, self._ext_hot, self._ext_cold
 
     # -- feasibility predicates --------------------------------------------------
 
@@ -474,10 +477,12 @@ class PlacementState:
     # -- bulk helpers -------------------------------------------------------------
 
     def copy(self) -> "PlacementState":
-        """Deep copy of the state (shares the immutable problem).
+        """Exact deep copy of the state (shares the immutable problem).
 
-        Subclass-preserving: copying a columnar state yields a columnar
-        state.
+        Loads, epochs and the mutation counter are carried over, so the
+        copy runs its periodic :meth:`recompute` at the same mutations as
+        the original: driven by the same operations, both stay
+        bit-identical.
         """
         clone = type(self)(self.problem)
         for block_id, machines in self._machines_of.items():
@@ -490,7 +495,8 @@ class PlacementState:
             for block_id, holders in self._rack_holders.items()
         }
         clone._share_index = [list(index) for index in self._share_index]
-        clone._init_load_heaps()
+        clone._machine_epoch = self._machine_epoch.copy()
+        clone._mutations = self._mutations
         return clone
 
     def to_assignment(self) -> Dict[int, FrozenSet[int]]:
@@ -546,15 +552,14 @@ class PlacementState:
                 share_index[machine].append((share, block_id))
         for index in share_index:
             index.sort()
-        state._init_load_heaps()
         return state
 
     def recompute(self) -> None:
         """Rebuild loads from scratch, clearing floating-point drift.
 
-        Load values can shift by a few ulps, so all extreme heaps are
-        rebuilt and every machine epoch is bumped (invalidating any
-        exhausted-pair memo held by a search engine).
+        Load values can shift by a few ulps, so every rack's cached
+        extremes are marked stale and every machine epoch is bumped
+        (invalidating any exhausted-pair memo held by a search engine).
         """
         self._loads[:] = 0.0
         self._rack_loads[:] = 0.0
@@ -566,10 +571,8 @@ class PlacementState:
             for machine in machines:
                 self._loads[machine] += share
                 self._rack_loads[rack_of[machine]] += share
-        for machine in self.topology.machines:
-            self._load_stamp[machine] += 1
-            self._machine_epoch[machine] += 1
-        self._init_load_heaps()
+        self._machine_epoch += 1
+        self._ext_dirty.update(self.topology.racks)
 
     def is_fully_replicated(self) -> bool:
         """Whether every block meets its node and rack requirements."""
@@ -592,8 +595,9 @@ class PlacementState:
         """Verify every structural invariant; raise ``AssertionError`` on drift.
 
         Checks the forward and reverse replica indexes agree, capacities
-        are respected, rack holder counters are exact, and incremental
-        loads match a from-scratch recomputation.
+        are respected, rack holder counters and share indices are exact,
+        the cached per-rack extremes match a scan, and incremental loads
+        match a from-scratch recomputation.
         """
         for block_id, machines in self._machines_of.items():
             for machine in machines:
@@ -624,20 +628,18 @@ class PlacementState:
             assert expected_index == self._share_index[machine], (
                 f"share index drift on machine {machine}"
             )
-        assert self.argmax_machine() == int(self._loads.argmax()), (
-            "max-heap extreme drift"
-        )
-        assert self.argmin_machine() == int(self._loads.argmin()), (
-            "min-heap extreme drift"
-        )
+        loads = self._loads
+        high, low, hot, cold = self.rack_extremes()
         for rack in self.topology.racks:
             members = self.topology.machines_in_rack(rack)
-            assert self.argmax_machine_in_rack(rack) == max(
-                members, key=lambda m: self._loads[m]
-            ), f"rack {rack} max-heap extreme drift"
-            assert self.argmin_machine_in_rack(rack) == min(
-                members, key=lambda m: self._loads[m]
-            ), f"rack {rack} min-heap extreme drift"
+            hottest = max(members, key=lambda m: loads[m])
+            coldest = min(members, key=lambda m: loads[m])
+            assert high[rack] == hottest and hot[rack] == loads[hottest], (
+                f"rack {rack} hottest-machine cache drift"
+            )
+            assert low[rack] == coldest and cold[rack] == loads[coldest], (
+                f"rack {rack} coldest-machine cache drift"
+            )
         snapshot = self._loads.copy()
         rack_snapshot = self._rack_loads.copy()
         self.recompute()
@@ -651,44 +653,36 @@ class PlacementState:
     def state_bytes(self) -> int:
         """Approximate resident bytes of the placement state's structures.
 
-        Sums ``sys.getsizeof`` of every container (hash tables and list
-        backing stores) plus a flat per-entry estimate for the tuple
-        objects the share indices and heaps point at.  It is an
-        *estimate* — small-int interning and allocator slack are not
-        modeled — but it is deterministic and consistent across the
-        dict/heap and columnar engines, which is what the
-        ``repro_core_state_bytes`` gauge and the scale study need to
-        compare footprints.
+        Sums ``sys.getsizeof`` of every array and container the state
+        owns (each counted once; the problem and topology are shared and
+        not counted) plus a flat per-entry estimate for the
+        ``(share, block_id)`` tuples the share indices point at.  It is
+        an *estimate* — small-int interning and allocator slack are not
+        modeled — but it is deterministic, which is what the
+        ``repro_core_state_bytes`` gauge needs to compare footprints.
         """
-        import sys
-
         getsizeof = sys.getsizeof
-        total = getsizeof(self._loads) + getsizeof(self._rack_loads)
+        arrays = (
+            self._loads, self._rack_loads, self._machine_epoch,
+            self._ext_high, self._ext_low, self._ext_hot, self._ext_cold,
+            *self._rack_members,
+        )
+        total = sum(getsizeof(array) for array in arrays)
+        total += getsizeof(self._rack_members) + getsizeof(self._ext_dirty)
         total += getsizeof(self._machines_of) + sum(
             getsizeof(s) for s in self._machines_of.values()
         )
-        total += sum(getsizeof(s) for s in self._blocks_on)
+        total += getsizeof(self._blocks_on) + sum(
+            getsizeof(s) for s in self._blocks_on
+        )
         total += getsizeof(self._rack_holders) + sum(
             getsizeof(d) for d in self._rack_holders.values()
         )
         # Share indices: list backing store + one (float, int) tuple
         # object (~72 bytes) per entry.
-        total += sum(
+        total += getsizeof(self._share_index) + sum(
             getsizeof(ix) + 72 * len(ix) for ix in self._share_index
         )
-        total += 8 * (len(self._machine_epoch) + len(self._load_stamp))
-        return total + self._index_state_bytes()
-
-    def _index_state_bytes(self) -> int:
-        """Bytes held by the engine-specific search indices (the heaps)."""
-        import sys
-
-        getsizeof = sys.getsizeof
-        total = getsizeof(self._max_heap) + getsizeof(self._min_heap)
-        total += 80 * (len(self._max_heap) + len(self._min_heap))
-        for heaps in (self._rack_max_heaps, self._rack_min_heaps):
-            for heap in heaps:
-                total += getsizeof(heap) + 80 * len(heap)
         return total
 
     # -- internals -----------------------------------------------------------------
@@ -706,27 +700,10 @@ class PlacementState:
             raise UnknownBlockError(f"unknown block id {block_id}") from None
 
     def _shift_load(self, machine: int, delta: float) -> None:
-        self._loads[machine] += delta
         rack = self.topology.rack_of[machine]
+        self._loads[machine] += delta
         self._rack_loads[rack] += delta
-        stamp = self._load_stamp[machine] + 1
-        self._load_stamp[machine] = stamp
-        load = float(self._loads[machine])
-        heapq.heappush(self._max_heap, (-load, machine, stamp))
-        heapq.heappush(self._min_heap, (load, machine, stamp))
-        heapq.heappush(self._rack_max_heaps[rack], (-load, machine, stamp))
-        heapq.heappush(self._rack_min_heaps[rack], (load, machine, stamp))
-        if len(self._max_heap) > self._heap_compact_at:
-            self._init_load_heaps()
-
-    def _valid_top(self, heap: List[Tuple[float, int, int]]) -> Tuple[float, int]:
-        """Pop stale entries off ``heap``; return its valid (key, machine) top."""
-        stamps = self._load_stamp
-        while True:
-            key, machine, stamp = heap[0]
-            if stamps[machine] == stamp:
-                return key, machine
-            heapq.heappop(heap)
+        self._ext_dirty.add(rack)
 
     def _bump_epochs(self, machines: Iterable[int]) -> None:
         epochs = self._machine_epoch

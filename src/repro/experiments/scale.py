@@ -18,15 +18,11 @@ runs the same sweep under the ``perf`` marker.
 from __future__ import annotations
 
 import random
-import resource
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.columnar import columnar_from_state
 from repro.core.instance import PlacementProblem
 from repro.core.local_search import balance_rack_aware
-from repro.core.partition import balance_rack_aware_partitioned
-from repro.core.placement import PlacementState
 from repro.core.reference import reference_balance_rack_aware
 from repro.experiments.ablation import _random_state, make_instance
 from repro.experiments.harness import (
@@ -46,10 +42,7 @@ __all__ = [
     "SolverScalePoint",
     "run_solver_scale_study",
     "render_solver_scale_study",
-    "ColumnarScalePoint",
     "fast_random_assignment",
-    "run_columnar_scale_study",
-    "render_columnar_scale_study",
 ]
 
 
@@ -286,199 +279,3 @@ def fast_random_assignment(
                 used[machine] += 1
         assignment[spec.block_id] = holders
     return assignment
-
-
-@dataclass(frozen=True)
-class ColumnarScalePoint:
-    """Columnar vs incremental (dict/heap) engine timings at one size.
-
-    Both engines run the same Algorithm 2 search under the same
-    ``max_operations`` budget, so they apply the *identical* operation
-    sequence (``operations_identical`` verifies it op-for-op) — the
-    timing difference is pure engine overhead, not different work.  The
-    partitioned columns report the rack-partitioned solver on the same
-    instance: ``partitioned_seconds`` is single-host wall-clock and
-    ``partitioned_critical_seconds`` the critical path an unloaded host
-    with one core per partition would see (extract + slowest sub-solve
-    + merge + polish).
-    """
-
-    num_machines: int
-    num_racks: int
-    num_blocks: int
-    max_operations: Optional[int]
-    operations: int
-    incremental_seconds: float
-    columnar_seconds: float
-    operations_identical: bool
-    incremental_cost: float
-    columnar_cost: float
-    partitioned_seconds: float
-    partitioned_critical_seconds: float
-    partitioned_cost: float
-    partitioned_operations: int
-    merge_conflicts: int
-    incremental_state_bytes: int
-    columnar_state_bytes: int
-    peak_rss_bytes: int
-
-    @property
-    def speedup(self) -> float:
-        """Incremental wall-clock divided by columnar wall-clock."""
-        if self.columnar_seconds <= 0.0:
-            return float("inf")
-        return self.incremental_seconds / self.columnar_seconds
-
-    @property
-    def partitioned_cost_ratio(self) -> float:
-        """Partitioned final cost relative to the columnar engine's."""
-        if self.columnar_cost <= 0.0:
-            return 1.0
-        return self.partitioned_cost / self.columnar_cost
-
-    @property
-    def healthy(self) -> bool:
-        """Differential parity held and the partitioned quality epsilon.
-
-        The engines must have applied identical operations.  The
-        partitioned solver's final cost must be within 5% of the
-        columnar engine's at convergence (its sub-solves see projected
-        sub-problems, so exact equality is not expected — see
-        ``docs/performance.md``); under an operation budget the bound
-        loosens to 25%, because a budgeted partitioned run spends its
-        operations across all partitions while the global engine's
-        budget all goes to the current global maximum.
-        """
-        if not self.operations_identical:
-            return False
-        epsilon = 1.05 if self.max_operations is None else 1.25
-        return self.partitioned_cost_ratio <= epsilon
-
-
-def run_columnar_scale_study(
-    sizes: Tuple[Tuple[int, int, int, Optional[int]], ...] = (
-        (16, 16, 4000, None),
-        (64, 16, 16000, 2000),
-        (625, 16, 100000, 8000),
-    ),
-    replication: int = 3,
-    rack_spread: int = 2,
-    seed: int = 0,
-    num_partitions: int = 4,
-    jobs: int = 1,
-) -> List[ColumnarScalePoint]:
-    """Time the columnar engine against the dict/heap incremental engine.
-
-    Each ``(num_racks, machines_per_rack, num_blocks, max_operations)``
-    size gets a Zipf-popular instance with a fast seeded random initial
-    placement.  A ``None`` budget runs both engines to convergence;
-    a capped budget bounds the run at sizes where convergence takes
-    minutes (both engines still do identical work — the same first N
-    operations of the same search).  The rack-partitioned solver runs
-    third, from the same starting placement, with the same budget.
-    """
-    points: List[ColumnarScalePoint] = []
-    for num_racks, per_rack, num_blocks, budget in sizes:
-        instance = make_instance(
-            num_racks=num_racks,
-            machines_per_rack=per_rack,
-            num_blocks=num_blocks,
-            replication=replication,
-            rack_spread=rack_spread,
-            seed=seed,
-        )
-        problem = instance.problem()
-        base = PlacementState.from_assignment(
-            problem, fast_random_assignment(problem, seed)
-        )
-        incremental_state = base.copy()
-        columnar_state = columnar_from_state(base)
-        partitioned_state = columnar_from_state(base)
-        incremental_stats = balance_rack_aware(
-            incremental_state, max_operations=budget, log_operations=True
-        )
-        columnar_stats = balance_rack_aware(
-            columnar_state, max_operations=budget, log_operations=True
-        )
-        identical = (
-            incremental_stats.operations == columnar_stats.operations
-            and incremental_stats.final_cost == columnar_stats.final_cost
-            and incremental_state.to_assignment()
-            == columnar_state.to_assignment()
-        )
-        partitioned_stats = balance_rack_aware_partitioned(
-            partitioned_state,
-            num_partitions=num_partitions,
-            jobs=jobs,
-            max_operations=budget,
-        )
-        critical = (
-            partitioned_stats.extract_seconds
-            + max(partitioned_stats.partition_seconds, default=0.0)
-            + partitioned_stats.merge_seconds
-            + partitioned_stats.polish_seconds
-        )
-        points.append(ColumnarScalePoint(
-            num_machines=problem.topology.num_machines,
-            num_racks=num_racks,
-            num_blocks=num_blocks,
-            max_operations=budget,
-            operations=columnar_stats.total_operations,
-            incremental_seconds=incremental_stats.elapsed_seconds,
-            columnar_seconds=columnar_stats.elapsed_seconds,
-            operations_identical=identical,
-            incremental_cost=incremental_stats.final_cost,
-            columnar_cost=columnar_stats.final_cost,
-            partitioned_seconds=partitioned_stats.search.elapsed_seconds,
-            partitioned_critical_seconds=critical,
-            partitioned_cost=partitioned_stats.search.final_cost,
-            partitioned_operations=partitioned_stats.search.total_operations,
-            merge_conflicts=partitioned_stats.merge_conflicts,
-            incremental_state_bytes=incremental_state.state_bytes(),
-            columnar_state_bytes=columnar_state.state_bytes(),
-            peak_rss_bytes=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            * 1024,
-        ))
-    return points
-
-
-def render_columnar_scale_study(points: List[ColumnarScalePoint]) -> str:
-    """Table: instance size vs engine wall-clock, speedup, and memory."""
-    rows = [
-        (
-            point.num_machines,
-            point.num_blocks,
-            "conv" if point.max_operations is None
-            else str(point.max_operations),
-            point.operations,
-            f"{point.incremental_seconds:.3f}",
-            f"{point.columnar_seconds:.3f}",
-            f"{point.speedup:.2f}x",
-            f"{point.partitioned_seconds:.3f}",
-            f"{point.partitioned_critical_seconds:.3f}",
-            f"{point.partitioned_cost_ratio:.4f}",
-            f"{point.columnar_state_bytes / 1e6:.1f}",
-            "yes" if point.operations_identical else "NO",
-        )
-        for point in points
-    ]
-    table = render_table(
-        [
-            "machines", "blocks", "budget", "ops", "dict/heap s",
-            "columnar s", "speedup", "partitioned s", "critical s",
-            "part cost x", "state MB", "identical",
-        ],
-        rows,
-    )
-    peak = max((point.peak_rss_bytes for point in points), default=0)
-    lines = [
-        "Columnar engine scale study (vs dict/heap incremental engine)",
-        table,
-        f"peak RSS: {peak / 1e6:.0f} MB",
-        "budget=conv runs both engines to convergence; a capped budget "
-        "applies the identical first-N operations in both engines.",
-        "'part cost x' is the partitioned solver's final cost relative "
-        "to the columnar engine's on the same budget (healthy: <= 1.05 "
-        "at convergence, <= 1.25 budgeted).",
-    ]
-    return "\n".join(lines)

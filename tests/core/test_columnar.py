@@ -1,29 +1,26 @@
-"""Differential tests: columnar engine vs the dict/heap incremental engine.
+"""Tests for PlacementState's array-backed (columnar) search columns.
 
-The array-backed :class:`~repro.core.columnar.ColumnarPlacementState`
-must be operation-for-operation identical to the parent
-:class:`~repro.core.placement.PlacementState` under both search
-algorithms — same operation log, same final cost, same rejection
-counts, same final placement.  The hypothesis suite drives random
-mutation sequences (move / swap / add / remove) through both engines in
-lock step and compares every observable (loads, shares, costs,
-extremes) after every step.
+The placement state keeps its loads, per-rack load extremes and machine
+epochs in dense numpy columns (see the ``repro.core.placement``
+module docstring).  The lockstep tests run each search on a state and
+on its :meth:`~repro.core.placement.PlacementState.copy` with the
+periodic float-drift :meth:`~repro.core.placement.PlacementState.recompute`
+firing mid-search: the copy must carry everything that decides a run —
+loads, epochs and the mutation counter — so both apply the same
+operations with bit-identical loads and the same probe counts.  The
+query tests pin the per-rack extreme cache against the per-rack queries
+and its refresh after mutations and recomputes.  Agreement with the
+naive reference solver is pinned separately in ``test_differential.py``.
 """
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import repro.core.placement as placement
 from repro.cluster.topology import ClusterTopology
 from repro.core.admissibility import RelativeCostPolicy, RelativeGapPolicy
-from repro.core.columnar import (
-    ColumnarPlacementState,
-    columnar_from_state,
-    make_columnar,
-)
 from repro.core.instance import PlacementProblem
 from repro.core.local_search import balance_node_level, balance_rack_aware
 from repro.core.placement import PlacementState
@@ -33,47 +30,53 @@ from .test_local_search import random_state
 SEEDS = list(range(16))
 
 
-def _columnar_twin(state):
-    """Columnar clone with byte-identical loads and indices."""
-    twin = columnar_from_state(state)
-    assert isinstance(twin, ColumnarPlacementState)
+@pytest.fixture(autouse=True)
+def _frequent_recompute(monkeypatch):
+    """Recompute every few mutations so searches cross several of them."""
+    monkeypatch.setattr(placement, "_RECOMPUTE_INTERVAL", 7)
+
+
+def _twin(state):
+    """Exact copy: byte-identical loads and epochs."""
+    twin = state.copy()
     np.testing.assert_array_equal(twin.loads(), state.loads())
+    np.testing.assert_array_equal(twin._machine_epoch, state._machine_epoch)
     return twin
 
 
-def _assert_lockstep(columnar, incremental, state_col, state_inc):
-    assert columnar.final_cost == incremental.final_cost
-    assert columnar.converged == incremental.converged
-    assert columnar.iterations == incremental.iterations
-    assert columnar.operations == incremental.operations
-    assert (
-        columnar.admissibility_rejections
-        == incremental.admissibility_rejections
-    )
-    assert state_col.to_assignment() == state_inc.to_assignment()
-    state_col.audit()
+def _assert_lockstep(stats, twin_stats, state, twin):
+    assert stats.final_cost == twin_stats.final_cost
+    assert stats.converged == twin_stats.converged
+    assert stats.iterations == twin_stats.iterations
+    assert stats.operations == twin_stats.operations
+    assert stats.admissibility_rejections == twin_stats.admissibility_rejections
+    assert stats.pairs_probed == twin_stats.pairs_probed
+    assert stats.pairs_pruned == twin_stats.pairs_pruned
+    np.testing.assert_array_equal(state.loads(), twin.loads())
+    assert state.to_assignment() == twin.to_assignment()
+    state.audit()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_node_level_matches_incremental(seed):
-    state_inc = random_state(
+    state = random_state(
         random.Random(seed), num_racks=3, per_rack=4, num_blocks=60, k=2, rho=2
     )
-    state_col = _columnar_twin(state_inc)
-    inc = balance_node_level(state_inc, log_operations=True)
-    col = balance_node_level(state_col, log_operations=True)
-    _assert_lockstep(col, inc, state_col, state_inc)
+    twin = _twin(state)
+    stats = balance_node_level(state, log_operations=True)
+    twin_stats = balance_node_level(twin, log_operations=True)
+    _assert_lockstep(stats, twin_stats, state, twin)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rack_aware_matches_incremental(seed):
-    state_inc = random_state(
+    state = random_state(
         random.Random(seed), num_racks=4, per_rack=3, num_blocks=80, k=3, rho=2
     )
-    state_col = _columnar_twin(state_inc)
-    inc = balance_rack_aware(state_inc, log_operations=True)
-    col = balance_rack_aware(state_col, log_operations=True)
-    _assert_lockstep(col, inc, state_col, state_inc)
+    twin = _twin(state)
+    stats = balance_rack_aware(state, log_operations=True)
+    twin_stats = balance_rack_aware(twin, log_operations=True)
+    _assert_lockstep(stats, twin_stats, state, twin)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])
@@ -83,28 +86,27 @@ def test_rack_aware_matches_incremental(seed):
     ids=["relative-cost", "relative-gap"],
 )
 def test_rack_aware_matches_under_policies(seed, policy_factory):
-    state_inc = random_state(
+    state = random_state(
         random.Random(seed), num_racks=4, per_rack=3, num_blocks=70, k=2, rho=2
     )
-    state_col = _columnar_twin(state_inc)
-    inc = balance_rack_aware(
-        state_inc, policy=policy_factory(), log_operations=True
+    twin = _twin(state)
+    stats = balance_rack_aware(
+        state, policy=policy_factory(), log_operations=True
     )
-    col = balance_rack_aware(
-        state_col, policy=policy_factory(), log_operations=True
+    twin_stats = balance_rack_aware(
+        twin, policy=policy_factory(), log_operations=True
     )
-    _assert_lockstep(col, inc, state_col, state_inc)
+    _assert_lockstep(stats, twin_stats, state, twin)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_budgeted_run_is_prefix_of_full_run(seed):
-    """A capped columnar run applies the first N ops of the full search."""
+    """A capped run applies the first N ops of the full search."""
     state_full = random_state(
         random.Random(seed), num_racks=4, per_rack=3, num_blocks=80, k=2, rho=2
     )
-    state_capped = _columnar_twin(state_full)
-    state_full_col = _columnar_twin(state_full)
-    full = balance_rack_aware(state_full_col, log_operations=True)
+    state_capped = _twin(state_full)
+    full = balance_rack_aware(state_full, log_operations=True)
     cap = max(1, full.total_operations // 2)
     capped = balance_rack_aware(
         state_capped, max_operations=cap, log_operations=True
@@ -114,19 +116,24 @@ def test_budgeted_run_is_prefix_of_full_run(seed):
 
 class TestColumnarQueries:
     def _mutated_state(self, seed):
-        state = random_state(
+        return random_state(
             random.Random(seed), num_racks=4, per_rack=4, num_blocks=50,
             k=2, rho=2,
         )
-        return _columnar_twin(state)
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_rack_extremes_match_per_rack_queries(self, seed):
         state = self._mutated_state(seed)
         high, low, hot, cold = state.rack_extremes()
+        loads = state.loads()
         for rack in state.topology.racks:
-            assert high[rack] == state.argmax_machine_in_rack(rack)
-            assert low[rack] == state.argmin_machine_in_rack(rack)
+            members = state.topology.machines_in_rack(rack)
+            assert high[rack] == state.argmax_machine_in_rack(rack) == max(
+                members, key=lambda m: loads[m]
+            )
+            assert low[rack] == state.argmin_machine_in_rack(rack) == min(
+                members, key=lambda m: loads[m]
+            )
             assert hot[rack] == state.load(int(high[rack]))
             assert cold[rack] == state.load(int(low[rack]))
 
@@ -142,144 +149,51 @@ class TestColumnarQueries:
         )
         state.move(block, src, dst)
         high, low, hot, cold = state.rack_extremes()
+        loads = state.loads()
         for rack in state.topology.racks:
-            assert high[rack] == state.argmax_machine_in_rack(rack)
-            assert low[rack] == state.argmin_machine_in_rack(rack)
+            members = state.topology.machines_in_rack(rack)
+            assert high[rack] == max(members, key=lambda m: loads[m])
+            assert low[rack] == min(members, key=lambda m: loads[m])
 
     def test_copy_preserves_columnar_class(self):
         state = self._mutated_state(0)
+        state.rack_extremes()  # a primed cache must not leak into the copy
         clone = state.copy()
-        assert isinstance(clone, ColumnarPlacementState)
+        assert type(clone) is PlacementState
         assert clone.to_assignment() == state.to_assignment()
         assert clone.cost() == state.cost()
+        assert clone._mutations == state._mutations
+        np.testing.assert_array_equal(clone._machine_epoch, state._machine_epoch)
+        for original, copied in zip(state.rack_extremes(), clone.rack_extremes()):
+            np.testing.assert_array_equal(original, copied)
 
     def test_state_bytes_counts_columns(self):
         state = self._mutated_state(0)
-        assert state.state_bytes() > 0
-        assert state._index_state_bytes() > 0
+        columns = (
+            state._loads.nbytes + state._machine_epoch.nbytes
+            + state._ext_high.nbytes + state._ext_hot.nbytes
+        )
+        assert state.state_bytes() > columns
 
     def test_recompute_rebuilds_extremes(self):
         state = self._mutated_state(1)
         state.rack_extremes()  # prime, then invalidate via recompute
         state.recompute()
+        assert state._ext_dirty == set(state.topology.racks)
         high, low, _, _ = state.rack_extremes()
+        loads = state.loads()
         for rack in state.topology.racks:
-            assert high[rack] == state.argmax_machine_in_rack(rack)
-            assert low[rack] == state.argmin_machine_in_rack(rack)
+            members = state.topology.machines_in_rack(rack)
+            assert high[rack] == max(members, key=lambda m: loads[m])
+            assert low[rack] == min(members, key=lambda m: loads[m])
 
     def test_make_columnar_empty_state(self):
         topo = ClusterTopology.uniform(2, 2, capacity=4)
         problem = PlacementProblem.from_popularities(
             topo, [1.0, 2.0], replication_factor=1
         )
-        state = make_columnar(problem)
+        state = PlacementState(problem)
         assert state.cost() == 0.0
         state.add_replica(0, 0)
         assert state.cost() == 1.0
-
-
-# -- hypothesis: random mutation sequences, engines in lock step -------------
-
-_ACTIONS = st.lists(
-    st.tuples(
-        st.sampled_from(["move", "swap", "add", "remove"]),
-        st.integers(min_value=0, max_value=2 ** 31 - 1),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-def _apply_random_action(rng, dict_state, col_state, action):
-    """Apply one feasible random mutation to both engines identically."""
-    problem = dict_state.problem
-    machines = list(dict_state.topology.machines)
-    blocks = [spec.block_id for spec in problem]
-    if action == "move":
-        for _ in range(20):
-            block = rng.choice(blocks)
-            holders = sorted(dict_state.machines_of(block))
-            if not holders:
-                continue
-            src = rng.choice(holders)
-            dst = rng.choice(machines)
-            if dict_state.can_move(block, src, dst):
-                dict_state.move(block, src, dst)
-                col_state.move(block, src, dst)
-                return True
-    elif action == "swap":
-        for _ in range(20):
-            block_i, block_j = rng.sample(blocks, 2)
-            holders_i = sorted(dict_state.machines_of(block_i))
-            holders_j = sorted(dict_state.machines_of(block_j))
-            if not holders_i or not holders_j:
-                continue
-            m = rng.choice(holders_i)
-            n = rng.choice(holders_j)
-            if dict_state.can_swap(block_i, m, block_j, n):
-                dict_state.swap(block_i, m, block_j, n)
-                col_state.swap(block_i, m, block_j, n)
-                return True
-    elif action == "add":
-        for _ in range(20):
-            block = rng.choice(blocks)
-            machine = rng.choice(machines)
-            if dict_state.can_add(block, machine):
-                dict_state.add_replica(block, machine)
-                col_state.add_replica(block, machine)
-                return True
-    else:  # remove
-        for _ in range(20):
-            block = rng.choice(blocks)
-            holders = sorted(dict_state.machines_of(block))
-            if not holders:
-                continue
-            machine = rng.choice(holders)
-            if dict_state.can_remove(block, machine, enforce_min=False):
-                dict_state.remove_replica(
-                    block, machine, enforce_min=False
-                )
-                col_state.remove_replica(
-                    block, machine, enforce_min=False
-                )
-                return True
-    return False
-
-
-@given(seed=st.integers(min_value=0, max_value=2 ** 20), actions=_ACTIONS)
-@settings(max_examples=40, deadline=None)
-def test_mutation_sequences_keep_engines_identical(seed, actions):
-    """Random move/swap/add/remove streams leave both engines equal.
-
-    After every mutation the columnar engine must agree with the
-    dict-backed engine on loads (bit-identical floats), shares, cost,
-    and per-rack extremes.
-    """
-    dict_state = random_state(
-        random.Random(seed), num_racks=3, per_rack=3, num_blocks=24,
-        k=2, rho=2,
-    )
-    col_state = _columnar_twin(dict_state)
-    rng = random.Random(seed ^ 0x5EED)
-    for action, action_seed in actions:
-        step_rng = random.Random(action_seed)
-        applied = _apply_random_action(rng, dict_state, col_state, action)
-        del step_rng
-        if not applied:
-            continue
-        np.testing.assert_array_equal(col_state.loads(), dict_state.loads())
-        assert col_state.cost() == dict_state.cost()
-        assert col_state.min_load() == dict_state.min_load()
-        for spec in dict_state.problem:
-            assert col_state.share(spec.block_id) == dict_state.share(
-                spec.block_id
-            )
-        for rack in dict_state.topology.racks:
-            assert col_state.argmax_machine_in_rack(
-                rack
-            ) == dict_state.argmax_machine_in_rack(rack)
-            assert col_state.argmin_machine_in_rack(
-                rack
-            ) == dict_state.argmin_machine_in_rack(rack)
-    assert col_state.to_assignment() == dict_state.to_assignment()
-    col_state.audit()
+        assert state.share(0) == 1.0

@@ -1,15 +1,23 @@
 """Tests for PlacementState's incremental search indices.
 
-Covers the three index families the local-search engine relies on: lazy
-extreme heaps (global and per-rack), persistent per-machine sorted
-``(share, block_id)`` indices, and machine change epochs.  See the
-``PlacementState`` module docstring for the invariants.
+Covers the index families the local-search engine relies on: load
+extremes (global reductions and the per-rack dirty cache), persistent
+per-machine sorted ``(share, block_id)`` indices, and machine change
+epochs — each checked against a from-scratch scan — plus the exactness
+of :meth:`~repro.core.placement.PlacementState.copy` and the
+``state_bytes`` accounting.  See the ``PlacementState`` module docstring
+for the invariants.
 """
 
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.placement as placement
 from repro.cluster.topology import ClusterTopology
 from repro.core.instance import PlacementProblem
 from repro.core.placement import PlacementState
@@ -50,6 +58,8 @@ def _mutate_randomly(state, rng, steps):
 
 
 class TestExtremeHeaps:
+    """Global and per-rack load extremes against scans of the loads."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_extremes_match_scans_after_random_mutations(self, seed):
         rng = random.Random(seed)
@@ -86,23 +96,6 @@ class TestExtremeHeaps:
         assert state.argmin_machine() == 0
         assert state.argmax_machine_in_rack(1) == 2
         assert state.argmin_machine_in_rack(1) == 2
-
-    def test_heap_compaction_preserves_correctness(self):
-        # Enough mutations on a tiny cluster to trip the compaction
-        # threshold (8*M + 64) several times over.
-        topo = ClusterTopology.uniform(1, 2, capacity=200)
-        problem = PlacementProblem.from_popularities(
-            topo, [5.0, 3.0], replication_factor=1
-        )
-        state = PlacementState(problem)
-        state.add_replica(0, 0)
-        state.add_replica(1, 1)
-        for _ in range(300):
-            state.move(0, 0, 1)
-            state.move(0, 1, 0)
-        assert len(state._max_heap) <= state._heap_compact_at
-        assert state.argmax_machine() == 0
-        assert state.cost() == pytest.approx(5.0)
 
     def test_invalid_rack_still_raises(self):
         rng = random.Random(0)
@@ -231,3 +224,159 @@ class TestMachineEpochs:
         state.recompute()
         after = [state.machine_epoch(m) for m in state.topology.machines]
         assert all(b > a for a, b in zip(before, after))
+
+
+# -- hypothesis: random mutation streams against scan oracles -----------------
+
+_ACTIONS = st.lists(
+    st.sampled_from(["move", "swap", "add", "remove"]), min_size=1, max_size=40
+)
+
+
+def _apply_random_action(rng, state, action):
+    """Apply one feasible random mutation of kind ``action``, if any."""
+    machines = list(state.topology.machines)
+    blocks = [spec.block_id for spec in state.problem]
+    for _ in range(20):
+        if action == "move":
+            block = rng.choice(blocks)
+            holders = sorted(state.machines_of(block))
+            if not holders:
+                continue
+            src = rng.choice(holders)
+            dst = rng.choice(machines)
+            if state.can_move(block, src, dst):
+                state.move(block, src, dst)
+                return True
+        elif action == "swap":
+            block_i, block_j = rng.sample(blocks, 2)
+            holders_i = sorted(state.machines_of(block_i))
+            holders_j = sorted(state.machines_of(block_j))
+            if not holders_i or not holders_j:
+                continue
+            m = rng.choice(holders_i)
+            n = rng.choice(holders_j)
+            if state.can_swap(block_i, m, block_j, n):
+                state.swap(block_i, m, block_j, n)
+                return True
+        elif action == "add":
+            block = rng.choice(blocks)
+            machine = rng.choice(machines)
+            if state.can_add(block, machine):
+                state.add_replica(block, machine)
+                return True
+        else:
+            block = rng.choice(blocks)
+            holders = sorted(state.machines_of(block))
+            if not holders:
+                continue
+            machine = rng.choice(holders)
+            if state.can_remove(block, machine, enforce_min=False):
+                state.remove_replica(block, machine, enforce_min=False)
+                return True
+    return False
+
+
+def _assert_extremes_match_scans(state):
+    loads = state.loads()
+    assert state.argmax_machine() == int(loads.argmax())
+    assert state.argmin_machine() == int(loads.argmin())
+    assert state.cost() == loads.max()
+    assert state.min_load() == loads.min()
+    high, low, hot, cold = state.rack_extremes()
+    for rack in state.topology.racks:
+        members = state.topology.machines_in_rack(rack)
+        hottest = max(members, key=lambda m: loads[m])
+        coldest = min(members, key=lambda m: loads[m])
+        assert state.argmax_machine_in_rack(rack) == hottest == high[rack]
+        assert state.argmin_machine_in_rack(rack) == coldest == low[rack]
+        assert hot[rack] == loads[hottest]
+        assert cold[rack] == loads[coldest]
+    for spec in state.problem:
+        count = state.replica_count(spec.block_id)
+        expected = spec.popularity / count if count else 0.0
+        assert state.share(spec.block_id) == expected
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 20), actions=_ACTIONS)
+@settings(max_examples=40, deadline=None)
+def test_mutation_sequences_match_scans(seed, actions):
+    """After every random move/swap/add/remove, the indices match scans.
+
+    Global and per-rack extremes, the cached ``rack_extremes`` columns
+    (exact floats, lowest-id tie-break) and the shares are all compared
+    against a from-scratch scan.
+    """
+    state = random_state(
+        random.Random(seed), num_racks=3, per_rack=3, num_blocks=24,
+        k=2, rho=2,
+    )
+    rng = random.Random(seed ^ 0x5EED)
+    _assert_extremes_match_scans(state)
+    for action in actions:
+        if _apply_random_action(rng, state, action):
+            _assert_extremes_match_scans(state)
+    state.audit()
+
+
+class TestCopy:
+    def test_copy_stays_bit_identical_across_recomputes(self, monkeypatch):
+        # The copy must recompute at the same mutation counts as its
+        # original, or the two drift apart by ulps.
+        monkeypatch.setattr(placement, "_RECOMPUTE_INTERVAL", 7)
+        state = random_state(
+            random.Random(11), num_racks=3, per_rack=3, num_blocks=30,
+            k=2, rho=2,
+        )
+        # Out of phase with the interval: a copy counting from zero
+        # would recompute at different steps.
+        assert state._mutations % 7
+        clone = state.copy()
+        rng, clone_rng = random.Random(12), random.Random(12)
+        actions = ["move", "swap", "add", "remove"] * 15
+        for action in actions:
+            applied = _apply_random_action(rng, state, action)
+            assert _apply_random_action(clone_rng, clone, action) == applied
+            np.testing.assert_array_equal(clone.loads(), state.loads())
+            np.testing.assert_array_equal(
+                clone.rack_loads(), state.rack_loads()
+            )
+            for machine in state.topology.machines:
+                assert clone.machine_epoch(machine) == state.machine_epoch(
+                    machine
+                )
+        assert clone.to_assignment() == state.to_assignment()
+
+
+class TestStateBytes:
+    def test_counts_each_structure_once(self):
+        topo = ClusterTopology.uniform(2, 2, capacity=4)
+        problem = PlacementProblem.from_popularities(
+            topo, [6.0, 3.0], replication_factor=2, rack_spread=2
+        )
+        state = PlacementState(problem)
+        for block, machine in [(0, 0), (0, 2), (1, 1), (1, 3)]:
+            state.add_replica(block, machine)
+        size = sys.getsizeof
+        arrays = (
+            size(state._loads) + size(state._rack_loads)
+            + size(state._machine_epoch)
+            + size(state._ext_high) + size(state._ext_low)
+            + size(state._ext_hot) + size(state._ext_cold)
+            + size(state._rack_members)
+            + sum(size(members) for members in state._rack_members)
+            + size(state._ext_dirty)
+        )
+        holders = (
+            size(state._machines_of)
+            + sum(size(s) for s in state._machines_of.values())
+            + size(state._blocks_on)
+            + sum(size(s) for s in state._blocks_on)
+            + size(state._rack_holders)
+            + sum(size(d) for d in state._rack_holders.values())
+        )
+        # Four machines with one (share, block) entry each.
+        share_indices = size(state._share_index) + sum(
+            size(index) for index in state._share_index
+        ) + 4 * 72
+        assert state.state_bytes() == arrays + holders + share_indices

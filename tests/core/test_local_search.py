@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,13 @@ from repro.core.admissibility import (
 from repro.core.bounds import combined_lower_bound
 from repro.core.instance import PlacementProblem
 from repro.core.local_search import (
-    _rack_pairs_by_gap,
+    _ranked_rack_pairs_lazy,
     balance_node_level,
     balance_rack_aware,
     find_operation_between,
 )
 from repro.core.placement import PlacementState
-from repro.core.reference import reference_balance_node_level
+from repro.core.reference import _rack_pairs_by_gap, reference_balance_node_level
 
 
 def random_state(rng, num_racks, per_rack, num_blocks, k=1, rho=1, capacity=None):
@@ -308,6 +309,11 @@ class TestRackPairOrdering:
     """
 
     @staticmethod
+    def _ranked_pairs(state):
+        _, _, hottest, coldest = state.rack_extremes()
+        return list(_ranked_rack_pairs_lazy(hottest, coldest))
+
+    @staticmethod
     def _heterogeneous_state():
         # Rack 0: three machines at load 5 (total 15).  Rack 1: one
         # machine at load 12 (total 12).  Total-load ranking sees rack 0
@@ -326,7 +332,7 @@ class TestRackPairOrdering:
 
     def test_pairs_ranked_by_extreme_machine_gap(self):
         state = self._heterogeneous_state()
-        pairs = _rack_pairs_by_gap(state)
+        pairs = self._ranked_pairs(state)
         # Hot-machine rack first: gap 12 - 5 = 7 beats any pair out of
         # rack 0 (5 - 12 < 0 is dropped entirely).
         assert pairs[0] == (1, 0)
@@ -346,7 +352,49 @@ class TestRackPairOrdering:
     def test_single_rack_has_no_pairs(self):
         rng = random.Random(2)
         state = random_state(rng, num_racks=1, per_rack=3, num_blocks=10)
-        assert _rack_pairs_by_gap(state) == []
+        assert self._ranked_pairs(state) == []
+
+    def test_gaps_rounding_to_a_tie_follow_rack_order(self):
+        # 336.6 - 0.0 and 336.6 - (-1.4e-14) round to the same float,
+        # but rack 2 sorts before rack 1 by coldest load.
+        drift = -1.4210854715202004e-14
+        loads = np.array([336.60747359894333, 0.0, drift])
+        assert loads[0] - loads[1] == loads[0] - loads[2]
+        pairs = list(_ranked_rack_pairs_lazy(loads, loads))
+        assert pairs[:2] == [(0, 1), (0, 2)]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 20),
+        num_racks=st.integers(min_value=1, max_value=6),
+        per_rack=st.integers(min_value=1, max_value=3),
+        mutations=st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_order_matches_reference_sort(
+        self, seed, num_racks, per_rack, mutations
+    ):
+        """The lazy enumeration is the reference's eager sort, tie for tie."""
+        rng = random.Random(seed)
+        state = random_state(
+            rng, num_racks=num_racks, per_rack=per_rack, num_blocks=12,
+            capacity=12,
+        )
+        # Equal popularities make equal loads, exercising the tie-breaks.
+        if seed % 2:
+            state = PlacementState.from_assignment(
+                PlacementProblem.from_popularities(
+                    state.topology, [6.0] * 12, replication_factor=1
+                ),
+                state.to_assignment(),
+            )
+        blocks = [spec.block_id for spec in state.problem]
+        for _ in range(mutations):
+            block = rng.choice(blocks)
+            src = next(iter(state.machines_of(block)))
+            dst = rng.randrange(state.topology.num_machines)
+            if state.can_move(block, src, dst):
+                state.move(block, src, dst)
+        assert self._ranked_pairs(state) == _rack_pairs_by_gap(state)
 
 
 class _RecordingPolicy:
