@@ -117,25 +117,36 @@ class PlacementProblem:
     def __post_init__(self) -> None:
         blocks = tuple(self.blocks)
         object.__setattr__(self, "blocks", blocks)
+        num_machines = self.topology.num_machines
+        num_racks = self.topology.num_racks
+        # One walk: a duplicate id anywhere outranks the first block whose
+        # factor or spread does not fit, so that block is only remembered.
         by_id: Dict[int, BlockSpec] = {}
+        misfit: Optional[BlockSpec] = None
+        total_replicas = 0
         for spec in blocks:
-            if spec.block_id in by_id:
-                raise InvalidProblemError(f"duplicate block id {spec.block_id}")
-            by_id[spec.block_id] = spec
+            block_id = spec.block_id
+            if block_id in by_id:
+                raise InvalidProblemError(f"duplicate block id {block_id}")
+            by_id[block_id] = spec
+            factor = spec.replication_factor
+            total_replicas += factor
+            if misfit is None and (
+                factor > num_machines or spec.rack_spread > num_racks
+            ):
+                misfit = spec
         object.__setattr__(self, "_by_id", by_id)
-        for spec in blocks:
-            if spec.replication_factor > self.topology.num_machines:
+        if misfit is not None:
+            if misfit.replication_factor > num_machines:
                 raise InvalidProblemError(
-                    f"block {spec.block_id}: replication factor "
-                    f"{spec.replication_factor} exceeds machine count "
-                    f"{self.topology.num_machines}"
+                    f"block {misfit.block_id}: replication factor "
+                    f"{misfit.replication_factor} exceeds machine count "
+                    f"{num_machines}"
                 )
-            if spec.rack_spread > self.topology.num_racks:
-                raise InvalidProblemError(
-                    f"block {spec.block_id}: rack spread {spec.rack_spread} "
-                    f"exceeds rack count {self.topology.num_racks}"
-                )
-        total_replicas = sum(s.replication_factor for s in blocks)
+            raise InvalidProblemError(
+                f"block {misfit.block_id}: rack spread {misfit.rack_spread} "
+                f"exceeds rack count {num_racks}"
+            )
         if self.replication_budget is not None:
             if self.replication_budget < total_replicas:
                 raise InvalidProblemError(

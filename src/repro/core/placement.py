@@ -40,17 +40,43 @@ of rescanning the cluster in Python per iteration:
 Holder sets stay sparse: a block has a handful of replicas, and a dense
 ``M x B`` incidence matrix would not fit at 10k machines.
 
+**Cold build, first-touch indexes.**  Each Aurora period rebuilds the
+state from an assignment (:meth:`from_assignment`), yet one search reads
+the share index of only a few hundred machines.  So the build is bulk
+numpy work: the per-block holder sets are made eagerly, the loads, rack
+loads and a dense per-machine used-slot column are ``np.bincount``
+accumulations, and every replica goes into one machine-sorted CSR
+(compressed sparse row: flat ``(share, block_id)`` columns sorted by
+machine, share and block, plus per-machine row offsets).  A machine's
+block set and share list are built from its CSR row the first time
+anything reads or mutates them, and a block's per-rack holder counts from
+its holder set the first time anything reads them.  Until then the CSR
+row is exactly the machine's current state, because every mutation
+materialises the machines it touches first.  The CSR arrays are
+read-only and shared by :meth:`copy`; the lazy containers are plain
+lists, sets and dicts with no reference back to the state, so a dropped
+state is freed by reference counting alone.  ``__init__`` runs the same
+path with an empty CSR.
+
 Loads are floats updated incrementally; :meth:`recompute` rebuilds them
-from scratch and runs automatically every ``_RECOMPUTE_INTERVAL`` mutations
-to bound floating-point drift.  :meth:`audit` verifies every invariant and
-is used heavily by the test suite.
+from scratch with the build's own accumulation (so the two are
+bit-identical by construction) and runs automatically every
+``_RECOMPUTE_INTERVAL`` mutations to bound floating-point drift.
+:meth:`audit` verifies every invariant, for materialised and
+not-yet-materialised indexes alike, and is used heavily by the test
+suite.
 """
 
 from __future__ import annotations
 
+import copy
 import sys
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Collection, Dict, FrozenSet, Iterable, List, Mapping, NoReturn,
+    Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -66,37 +92,146 @@ __all__ = ["PlacementState"]
 
 _RECOMPUTE_INTERVAL = 65536
 
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_NO_REPLICAS: _Columns = (
+    np.empty(0, dtype=np.intp),
+    np.empty(0, dtype=np.intp),
+    np.empty(0, dtype=object),
+    np.empty(0, dtype=np.float64),
+)
+
+
+def _replica_columns(
+    problem: PlacementProblem, holders_of: Mapping[int, Set[int]]
+) -> _Columns:
+    """``(counts, machines, block_ids, shares)`` of the holder sets.
+
+    ``counts``, ``block_ids`` and ``shares`` have one entry per block in
+    problem order; ``machines`` lists every replica's holder, block by
+    block in that order.  Blocks without replicas contribute nothing, so
+    they may also be left out (as in ``_NO_REPLICAS``).  ``block_ids``
+    holds the specs' own id objects (object dtype): indexes materialised
+    from it then hold the very ints the holder map and the problem are
+    keyed by, so dict and set lookups with them match on identity.
+    Building the machine column raises on holder ids that are not
+    machine indexes.
+    """
+    blocks = problem.blocks
+    holder_sets = [holders_of[spec.block_id] for spec in blocks]
+    counts = np.fromiter(map(len, holder_sets), np.intp, len(holder_sets))
+    machines = np.fromiter(
+        chain.from_iterable(holder_sets), np.intp, int(counts.sum())
+    )
+    block_ids = np.fromiter(
+        (spec.block_id for spec in blocks), object, len(blocks)
+    )
+    popularity = np.fromiter(
+        (spec.popularity for spec in blocks), np.float64, len(blocks)
+    )
+    # The same IEEE division as share(): popularity / count.
+    shares = np.divide(
+        popularity, counts, out=np.zeros_like(popularity), where=counts > 0
+    )
+    return counts, machines, block_ids, shares
+
+
+def _validated_columns(
+    problem: PlacementProblem,
+    assignment: Mapping[int, Collection[int]],
+    holders_of: Mapping[int, Set[int]],
+) -> Optional[_Columns]:
+    """The replica columns of ``holders_of``, or ``None`` if any replica
+    of ``assignment`` (which ``holders_of`` copies) is invalid."""
+    if not assignment.keys() <= holders_of.keys():
+        return None  # an unknown block
+    try:
+        columns = _replica_columns(problem, holders_of)
+    except (OverflowError, TypeError, ValueError):
+        return None  # a holder id that is no machine index
+    machines = columns[1]
+    num_machines = problem.topology.num_machines
+    if machines.size != sum(map(len, assignment.values())):
+        return None  # a block lists one machine twice
+    if machines.size and not (
+        0 <= machines.min() and machines.max() < num_machines
+    ):
+        return None  # an unknown machine
+    used = np.bincount(machines, minlength=num_machines)
+    if (used > np.asarray(problem.topology.capacities)).any():
+        return None  # a machine over capacity
+    return columns
+
 
 class PlacementState:
     """Assignment of block replicas to machines, with incremental loads."""
 
     def __init__(self, problem: PlacementProblem) -> None:
+        self._install(
+            problem, {spec.block_id: set() for spec in problem}, _NO_REPLICAS
+        )
+
+    def _install(
+        self,
+        problem: PlacementProblem,
+        holders_of: Dict[int, Set[int]],
+        columns: _Columns,
+    ) -> None:
+        """Set up every structure from the holder sets and their replica columns.
+
+        ``columns`` is ``_replica_columns(problem, holders_of)``, or
+        ``_NO_REPLICAS`` when every holder set is empty.  The
+        loads, rack loads and used-slot column are accumulated in bulk;
+        the CSR is sorted by machine, then share, then block id — the
+        order of each machine's share index — with the ``(share, block)``
+        order computed once per block and the replicas sorted on one
+        composite integer key.
+        """
         self.problem = problem
         topo = problem.topology
-        self._machines_of: Dict[int, Set[int]] = {
-            spec.block_id: set() for spec in problem
-        }
-        self._blocks_on: List[Set[int]] = [set() for _ in topo.machines]
-        self._loads = np.zeros(topo.num_machines, dtype=np.float64)
-        self._rack_loads = np.zeros(topo.num_racks, dtype=np.float64)
-        self._rack_holders: Dict[int, Dict[int, int]] = {
-            spec.block_id: {} for spec in problem
-        }
+        num_machines, num_racks = topo.num_machines, topo.num_racks
+        self._machines_of = holders_of
+        # Per-block {rack: holders} counts, built on first read.
+        self._rack_holders: Dict[int, Dict[int, int]] = {}
         self._mutations = 0
-        # Search indices (see module docstring).
-        self._share_index: List[List[Tuple[float, int]]] = [
-            [] for _ in topo.machines
-        ]
-        self._machine_epoch = np.zeros(topo.num_machines, dtype=np.int64)
+        self._machine_epoch = np.zeros(num_machines, dtype=np.int64)
         self._rack_members: List[np.ndarray] = [
             np.asarray(topo.machines_in_rack(rack), dtype=np.intp)
             for rack in topo.racks
         ]
-        self._ext_high = np.zeros(topo.num_racks, dtype=np.int64)
-        self._ext_low = np.zeros(topo.num_racks, dtype=np.int64)
-        self._ext_hot = np.zeros(topo.num_racks, dtype=np.float64)
-        self._ext_cold = np.zeros(topo.num_racks, dtype=np.float64)
+        self._ext_high = np.zeros(num_racks, dtype=np.int64)
+        self._ext_low = np.zeros(num_racks, dtype=np.int64)
+        self._ext_hot = np.zeros(num_racks, dtype=np.float64)
+        self._ext_cold = np.zeros(num_racks, dtype=np.float64)
         self._ext_dirty: Set[int] = set(topo.racks)
+        counts, machines, block_ids, shares = columns
+        self._loads = np.empty(num_machines, dtype=np.float64)
+        self._rack_loads = np.empty(num_racks, dtype=np.float64)
+        self._accumulate_loads(counts, machines, shares)
+        used = np.bincount(machines, minlength=num_machines)
+        # A list: the search reads and bumps single slots, which is
+        # several times cheaper on a list than on an array.
+        self._used: List[int] = used.tolist()
+        # Rank the blocks by (share, block_id), then sort the replicas on
+        # machine * B + rank: unique keys, so one plain argsort.
+        num_blocks = block_ids.size
+        rank = np.empty(num_blocks, dtype=np.int64)
+        rank[np.lexsort((block_ids.astype(np.int64), shares))] = np.arange(
+            num_blocks
+        )
+        order = np.argsort(machines * num_blocks + np.repeat(rank, counts))
+        start = np.zeros(num_machines + 1, dtype=np.intp)
+        np.cumsum(used, out=start[1:])
+        self._csr_start = start
+        self._csr_share = np.repeat(shares, counts)[order]
+        self._csr_block = np.repeat(block_ids, counts)[order]
+        for array in (self._csr_start, self._csr_share, self._csr_block):
+            array.flags.writeable = False
+        # First-touch per-machine indexes (see _blocks_of / _index_of).
+        self._blocks_on: List[Optional[Set[int]]] = [None] * num_machines
+        self._share_index: List[Optional[List[Tuple[float, int]]]] = (
+            [None] * num_machines
+        )
 
     # -- basic queries -------------------------------------------------------
 
@@ -117,7 +252,7 @@ class PlacementState:
         :meth:`blocks_on_view` instead.
         """
         self.topology.check_machine(machine)
-        return frozenset(self._blocks_on[machine])
+        return frozenset(self._blocks_of(machine))
 
     def blocks_on_view(self, machine: int) -> Set[int]:
         """Zero-copy view of the blocks on ``machine``.
@@ -127,7 +262,7 @@ class PlacementState:
         semantics from.  Use :meth:`blocks_on` for an immutable copy.
         """
         self.topology.check_machine(machine)
-        return self._blocks_on[machine]
+        return self._blocks_of(machine)
 
     def share_index(self, machine: int) -> Sequence[Tuple[float, int]]:
         """The machine's persistent sorted ``(share, block_id)`` index.
@@ -137,7 +272,7 @@ class PlacementState:
         the internal list — read-only for callers.
         """
         self.topology.check_machine(machine)
-        return self._share_index[machine]
+        return self._index_of(machine)
 
     def machine_epoch(self, machine: int) -> int:
         """Change epoch of ``machine`` (see module docstring).
@@ -173,7 +308,7 @@ class PlacementState:
     def used_capacity(self, machine: int) -> int:
         """Number of replicas currently stored on ``machine``."""
         self.topology.check_machine(machine)
-        return len(self._blocks_on[machine])
+        return self._used[machine]
 
     def free_capacity(self, machine: int) -> int:
         """Remaining block slots on ``machine``."""
@@ -364,12 +499,11 @@ class PlacementState:
                 self._shift_load(holder, -dilution)
             self._reshare_block(block_id, machines, old_share, new_share)
         machines.add(machine)
-        self._blocks_on[machine].add(block_id)
+        self._blocks_of(machine).add(block_id)
+        self._used[machine] += 1
         self._shift_load(machine, new_share)
         self._index_insert(machine, new_share, block_id)
-        rack = self.topology.rack_of[machine]
-        holders = self._rack_holders_for(block_id)
-        holders[rack] = holders.get(rack, 0) + 1
+        self._count_rack_holder(block_id, machine, 1)
         self._bump_epochs(machines)
         self._tick()
 
@@ -397,7 +531,8 @@ class PlacementState:
         old_count = len(machines)
         old_share = popularity / old_count
         machines.discard(machine)
-        self._blocks_on[machine].discard(block_id)
+        self._blocks_of(machine).discard(block_id)
+        self._used[machine] -= 1
         self._shift_load(machine, -old_share)
         self._index_discard(machine, old_share, block_id)
         new_count = old_count - 1
@@ -407,11 +542,7 @@ class PlacementState:
             for holder in machines:
                 self._shift_load(holder, concentration)
             self._reshare_block(block_id, machines, old_share, new_share)
-        rack = self.topology.rack_of[machine]
-        holders = self._rack_holders_for(block_id)
-        holders[rack] -= 1
-        if holders[rack] == 0:
-            del holders[rack]
+        self._count_rack_holder(block_id, machine, -1)
         self._bump_epochs(machines)
         self._machine_epoch[machine] += 1
         self._tick()
@@ -430,8 +561,10 @@ class PlacementState:
         machines = self._machines_for(block_id)
         machines.discard(src)
         machines.add(dst)
-        self._blocks_on[src].discard(block_id)
-        self._blocks_on[dst].add(block_id)
+        self._blocks_of(src).discard(block_id)
+        self._blocks_of(dst).add(block_id)
+        self._used[src] -= 1
+        self._used[dst] += 1
         self._shift_load(src, -share)
         self._shift_load(dst, share)
         self._index_discard(src, share, block_id)
@@ -458,10 +591,12 @@ class PlacementState:
         holders_i.add(machine_n)
         holders_j.discard(machine_n)
         holders_j.add(machine_m)
-        self._blocks_on[machine_m].discard(block_i)
-        self._blocks_on[machine_m].add(block_j)
-        self._blocks_on[machine_n].discard(block_j)
-        self._blocks_on[machine_n].add(block_i)
+        blocks_m = self._blocks_of(machine_m)
+        blocks_m.discard(block_i)
+        blocks_m.add(block_j)
+        blocks_n = self._blocks_of(machine_n)
+        blocks_n.discard(block_j)
+        blocks_n.add(block_i)
         self._shift_load(machine_m, share_j - share_i)
         self._shift_load(machine_n, share_i - share_j)
         self._index_discard(machine_m, share_i, block_i)
@@ -482,21 +617,28 @@ class PlacementState:
         Loads, epochs and the mutation counter are carried over, so the
         copy runs its periodic :meth:`recompute` at the same mutations as
         the original: driven by the same operations, both stay
-        bit-identical.
+        bit-identical.  The read-only CSR and rack-member arrays are
+        shared; only the indexes materialised so far are copied.
         """
-        clone = type(self)(self.problem)
-        for block_id, machines in self._machines_of.items():
-            clone._machines_of[block_id] = set(machines)
-        clone._blocks_on = [set(blocks) for blocks in self._blocks_on]
-        clone._loads = self._loads.copy()
-        clone._rack_loads = self._rack_loads.copy()
+        clone = copy.copy(self)
+        clone._machines_of = {
+            block_id: set(machines)
+            for block_id, machines in self._machines_of.items()
+        }
         clone._rack_holders = {
             block_id: dict(holders)
             for block_id, holders in self._rack_holders.items()
         }
-        clone._share_index = [list(index) for index in self._share_index]
-        clone._machine_epoch = self._machine_epoch.copy()
-        clone._mutations = self._mutations
+        clone._blocks_on = [
+            None if blocks is None else set(blocks) for blocks in self._blocks_on
+        ]
+        clone._share_index = [
+            None if index is None else list(index) for index in self._share_index
+        ]
+        for name in ("_loads", "_rack_loads", "_used", "_machine_epoch",
+                     "_ext_high", "_ext_low", "_ext_hot", "_ext_cold",
+                     "_ext_dirty"):
+            setattr(clone, name, getattr(self, name).copy())
         return clone
 
     def to_assignment(self) -> Dict[int, FrozenSet[int]]:
@@ -508,51 +650,42 @@ class PlacementState:
 
     @classmethod
     def from_assignment(
-        cls, problem: PlacementProblem, assignment: Mapping[int, Iterable[int]]
+        cls, problem: PlacementProblem, assignment: Mapping[int, Collection[int]]
     ) -> "PlacementState":
         """Rebuild a state from a block-to-machines mapping.
 
-        Built in bulk: holder sets, rack counters, loads and share
-        indices are constructed directly at their final values (loads
-        via the same final-share accumulation :meth:`recompute` uses)
-        instead of replaying one :meth:`add_replica` per replica, which
-        re-dilutes every prior holder and re-sorts share indices on each
-        add.  Validation matches the incremental path: unknown blocks,
-        duplicate holders and capacity overruns raise the same errors.
+        Built in bulk (see the module docstring): the holder sets are
+        copied directly, then the machine column of every replica is
+        range-checked, counted against the capacities with one
+        ``np.bincount`` and indexed into the CSR, instead of replaying
+        one :meth:`add_replica` per replica, which re-dilutes every prior
+        holder and re-sorts share indices on each add.  Invalid input
+        raises exactly what that replay raises, for the first offending
+        replica in assignment order: unknown blocks, unknown machines,
+        duplicate holders and capacity overruns.
         """
-        state = cls(problem)
-        topo = problem.topology
-        rack_of = topo.rack_of
-        blocks_on = state._blocks_on
-        for block_id, machines in assignment.items():
-            holders = state._machines_for(block_id)
-            rack_holders = state._rack_holders[block_id]
-            for machine in machines:
-                topo.check_machine(machine)
-                if machine in holders:
-                    raise ReplicaConstraintError(
-                        f"machine {machine} already holds block {block_id}"
-                    )
-                if len(blocks_on[machine]) >= topo.capacity_of(machine):
-                    raise CapacityExceededError(f"machine {machine} is full")
-                holders.add(machine)
-                blocks_on[machine].add(block_id)
-                rack = rack_of[machine]
-                rack_holders[rack] = rack_holders.get(rack, 0) + 1
-        loads = state._loads
-        rack_loads = state._rack_loads
-        share_index = state._share_index
-        for block_id, holders in state._machines_of.items():
-            if not holders:
-                continue
-            share = problem.block(block_id).popularity / len(holders)
-            for machine in holders:
-                loads[machine] += share
-                rack_loads[rack_of[machine]] += share
-                share_index[machine].append((share, block_id))
-        for index in share_index:
-            index.sort()
+        holders_of = {
+            spec.block_id: set(assignment.get(spec.block_id, ()))
+            for spec in problem.blocks
+        }
+        columns = _validated_columns(problem, assignment, holders_of)
+        if columns is None:
+            cls._raise_first_error(problem, assignment)
+        state = cls.__new__(cls)
+        state._install(problem, holders_of, columns)
         return state
+
+    @classmethod
+    def _raise_first_error(
+        cls, problem: PlacementProblem, assignment: Mapping[int, Collection[int]]
+    ) -> NoReturn:
+        """Replay ``assignment`` one replica at a time to raise its first error."""
+        state = cls(problem)
+        for block_id, machines in assignment.items():
+            state._machines_for(block_id)
+            for machine in machines:
+                state.add_replica(block_id, machine)
+        raise AssertionError("bulk validation rejected a valid assignment")
 
     def recompute(self) -> None:
         """Rebuild loads from scratch, clearing floating-point drift.
@@ -561,16 +694,10 @@ class PlacementState:
         extremes are marked stale and every machine epoch is bumped
         (invalidating any exhausted-pair memo held by a search engine).
         """
-        self._loads[:] = 0.0
-        self._rack_loads[:] = 0.0
-        rack_of = self.topology.rack_of
-        for block_id, machines in self._machines_of.items():
-            if not machines:
-                continue
-            share = self.problem.block(block_id).popularity / len(machines)
-            for machine in machines:
-                self._loads[machine] += share
-                self._rack_loads[rack_of[machine]] += share
+        counts, machines, _, shares = _replica_columns(
+            self.problem, self._machines_of
+        )
+        self._accumulate_loads(counts, machines, shares)
         self._machine_epoch += 1
         self._ext_dirty.update(self.topology.racks)
 
@@ -594,44 +721,51 @@ class PlacementState:
     def audit(self) -> None:
         """Verify every structural invariant; raise ``AssertionError`` on drift.
 
-        Checks the forward and reverse replica indexes agree, capacities
-        are respected, rack holder counters and share indices are exact,
-        the cached per-rack extremes match a scan, and incremental loads
-        match a from-scratch recomputation.
+        Rebuilds every machine's block set from the holder sets and checks
+        against it, for materialised and unmaterialised machines alike:
+        the block set, the used-slot column and capacity, and the share
+        index.  Also checks the materialised rack holder counters, that
+        the CSR is read-only, that the cached per-rack extremes match a
+        scan, and that incremental loads match a from-scratch
+        recomputation.
         """
+        topo = self.topology
+        expected_blocks: List[Set[int]] = [set() for _ in topo.machines]
         for block_id, machines in self._machines_of.items():
             for machine in machines:
-                assert block_id in self._blocks_on[machine], (
-                    f"index mismatch: block {block_id} missing on machine {machine}"
-                )
-        for machine, blocks in enumerate(self._blocks_on):
-            assert len(blocks) <= self.topology.capacity_of(machine), (
+                expected_blocks[machine].add(block_id)
+        for array in (self._csr_start, self._csr_share, self._csr_block):
+            assert not array.flags.writeable, "CSR array is writeable"
+        for machine, expected in enumerate(expected_blocks):
+            shares, blocks = self._csr_row(machine)
+            actual = self._blocks_on[machine]
+            if actual is None:
+                actual = set(blocks)
+            assert actual == expected, f"block set drift on machine {machine}"
+            assert self._used[machine] == len(expected), (
+                f"used-slot drift on machine {machine}"
+            )
+            assert len(expected) <= topo.capacity_of(machine), (
                 f"machine {machine} over capacity"
             )
-            for block_id in blocks:
-                assert machine in self._machines_of[block_id], (
-                    f"reverse index mismatch: machine {machine}, block {block_id}"
-                )
-        for block_id, machines in self._machines_of.items():
-            expected: Dict[int, int] = {}
-            for machine in machines:
-                rack = self.topology.rack_of[machine]
-                expected[rack] = expected.get(rack, 0) + 1
-            assert expected == self._rack_holders[block_id], (
+            index = self._share_index[machine]
+            if index is None:
+                index = list(zip(shares, blocks))
+            assert index == sorted(
+                (self.share(block_id), block_id) for block_id in expected
+            ), f"share index drift on machine {machine}"
+        for block_id, holders in self._rack_holders.items():
+            expected_racks: Dict[int, int] = {}
+            for machine in self._machines_of[block_id]:
+                rack = topo.rack_of[machine]
+                expected_racks[rack] = expected_racks.get(rack, 0) + 1
+            assert expected_racks == holders, (
                 f"rack holder drift for block {block_id}"
-            )
-        for machine in self.topology.machines:
-            expected_index = sorted(
-                (self.share(block_id), block_id)
-                for block_id in self._blocks_on[machine]
-            )
-            assert expected_index == self._share_index[machine], (
-                f"share index drift on machine {machine}"
             )
         loads = self._loads
         high, low, hot, cold = self.rack_extremes()
-        for rack in self.topology.racks:
-            members = self.topology.machines_in_rack(rack)
+        for rack in topo.racks:
+            members = topo.machines_in_rack(rack)
             hottest = max(members, key=lambda m: loads[m])
             coldest = min(members, key=lambda m: loads[m])
             assert high[rack] == hottest and hot[rack] == loads[hottest], (
@@ -655,16 +789,19 @@ class PlacementState:
 
         Sums ``sys.getsizeof`` of every array and container the state
         owns (each counted once; the problem and topology are shared and
-        not counted) plus a flat per-entry estimate for the
-        ``(share, block_id)`` tuples the share indices point at.  It is
-        an *estimate* — small-int interning and allocator slack are not
-        modeled — but it is deterministic, which is what the
-        ``repro_core_state_bytes`` gauge needs to compare footprints.
+        not counted), including the CSR arrays but only the per-machine
+        and per-block indexes materialised so far, plus a flat per-entry
+        estimate for the ``(share, block_id)`` tuples the materialised
+        share indices point at.  It is an *estimate* — small-int
+        interning and allocator slack are not modeled — but it is
+        deterministic, which is what the ``repro_core_state_bytes`` gauge
+        needs to compare footprints.
         """
         getsizeof = sys.getsizeof
         arrays = (
-            self._loads, self._rack_loads, self._machine_epoch,
+            self._loads, self._rack_loads, self._machine_epoch, self._used,
             self._ext_high, self._ext_low, self._ext_hot, self._ext_cold,
+            self._csr_start, self._csr_share, self._csr_block,
             *self._rack_members,
         )
         total = sum(getsizeof(array) for array in arrays)
@@ -672,20 +809,64 @@ class PlacementState:
         total += getsizeof(self._machines_of) + sum(
             getsizeof(s) for s in self._machines_of.values()
         )
-        total += getsizeof(self._blocks_on) + sum(
-            getsizeof(s) for s in self._blocks_on
-        )
         total += getsizeof(self._rack_holders) + sum(
             getsizeof(d) for d in self._rack_holders.values()
+        )
+        total += getsizeof(self._blocks_on) + sum(
+            getsizeof(s) for s in self._blocks_on if s is not None
         )
         # Share indices: list backing store + one (float, int) tuple
         # object (~72 bytes) per entry.
         total += getsizeof(self._share_index) + sum(
-            getsizeof(ix) + 72 * len(ix) for ix in self._share_index
+            getsizeof(ix) + 72 * len(ix)
+            for ix in self._share_index if ix is not None
         )
         return total
 
     # -- internals -----------------------------------------------------------------
+
+    def _accumulate_loads(
+        self, counts: np.ndarray, machines: np.ndarray, shares: np.ndarray
+    ) -> None:
+        """Set the loads to the replica shares summed in problem order.
+
+        ``np.bincount`` adds its weights one by one in input order, the
+        order a per-replica Python loop would, so a build and every later
+        :meth:`recompute` give bit-identical loads.
+        """
+        topo = self.topology
+        shares = np.repeat(shares, counts)
+        self._loads[:] = np.bincount(
+            machines, weights=shares, minlength=topo.num_machines
+        )
+        racks = np.asarray(topo.rack_of, dtype=np.intp)[machines]
+        self._rack_loads[:] = np.bincount(
+            racks, weights=shares, minlength=topo.num_racks
+        )
+
+    def _csr_row(self, machine: int) -> Tuple[List[float], List[int]]:
+        """The machine's ``(shares, block_ids)`` as built, sorted."""
+        start, stop = self._csr_start[machine], self._csr_start[machine + 1]
+        return (
+            self._csr_share[start:stop].tolist(),
+            self._csr_block[start:stop].tolist(),
+        )
+
+    def _blocks_of(self, machine: int) -> Set[int]:
+        """The machine's block set, built from its CSR row on first touch."""
+        blocks = self._blocks_on[machine]
+        if blocks is None:
+            blocks = self._blocks_on[machine] = set(self._csr_row(machine)[1])
+        return blocks
+
+    def _index_of(self, machine: int) -> List[Tuple[float, int]]:
+        """The machine's share index, built from its CSR row on first touch."""
+        index = self._share_index[machine]
+        if index is None:
+            index = self._share_index[machine] = list(
+                zip(*self._csr_row(machine))
+            )
+        return index
 
     def _machines_for(self, block_id: int) -> Set[int]:
         try:
@@ -694,10 +875,30 @@ class PlacementState:
             raise UnknownBlockError(f"unknown block id {block_id}") from None
 
     def _rack_holders_for(self, block_id: int) -> Dict[int, int]:
+        """The block's ``{rack: holders}`` counts, built on first read."""
         try:
             return self._rack_holders[block_id]
         except KeyError:
-            raise UnknownBlockError(f"unknown block id {block_id}") from None
+            pass
+        rack_of = self.topology.rack_of
+        counts: Dict[int, int] = {}
+        for machine in self._machines_for(block_id):
+            rack = rack_of[machine]
+            counts[rack] = counts.get(rack, 0) + 1
+        self._rack_holders[block_id] = counts
+        return counts
+
+    def _count_rack_holder(self, block_id: int, machine: int, delta: int) -> None:
+        """Patch built rack-holder counts; unbuilt ones derive from the holder set."""
+        counts = self._rack_holders.get(block_id)
+        if counts is None:
+            return
+        rack = self.topology.rack_of[machine]
+        count = counts.get(rack, 0) + delta
+        if count:
+            counts[rack] = count
+        else:
+            del counts[rack]
 
     def _shift_load(self, machine: int, delta: float) -> None:
         rack = self.topology.rack_of[machine]
@@ -711,10 +912,10 @@ class PlacementState:
             epochs[machine] += 1
 
     def _index_insert(self, machine: int, share: float, block_id: int) -> None:
-        insort(self._share_index[machine], (share, block_id))
+        insort(self._index_of(machine), (share, block_id))
 
     def _index_discard(self, machine: int, share: float, block_id: int) -> None:
-        index = self._share_index[machine]
+        index = self._index_of(machine)
         entry = (share, block_id)
         i = bisect_left(index, entry)
         if i < len(index) and index[i] == entry:
@@ -731,15 +932,10 @@ class PlacementState:
             self._index_insert(holder, new_share, block_id)
 
     def _transfer_rack_holder(self, block_id: int, src: int, dst: int) -> None:
-        src_rack = self.topology.rack_of[src]
-        dst_rack = self.topology.rack_of[dst]
-        if src_rack == dst_rack:
-            return
-        holders = self._rack_holders_for(block_id)
-        holders[src_rack] -= 1
-        if holders[src_rack] == 0:
-            del holders[src_rack]
-        holders[dst_rack] = holders.get(dst_rack, 0) + 1
+        rack_of = self.topology.rack_of
+        if rack_of[src] != rack_of[dst]:
+            self._count_rack_holder(block_id, src, -1)
+            self._count_rack_holder(block_id, dst, 1)
 
     def _spread_after_remove(self, block_id: int, machine: int) -> int:
         holders = self._rack_holders_for(block_id)
@@ -747,19 +943,6 @@ class PlacementState:
         spread = len(holders)
         if holders.get(rack, 0) == 1:
             spread -= 1
-        return spread
-
-    def _spread_after_move(self, block_id: int, src: int, dst: int) -> int:
-        holders = self._rack_holders_for(block_id)
-        src_rack = self.topology.rack_of[src]
-        dst_rack = self.topology.rack_of[dst]
-        if src_rack == dst_rack:
-            return len(holders)
-        spread = len(holders)
-        if holders.get(src_rack, 0) == 1:
-            spread -= 1
-        if holders.get(dst_rack, 0) == 0:
-            spread += 1
         return spread
 
     def _tick(self) -> None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.instance import BlockSpec, PlacementProblem
@@ -10,7 +12,9 @@ from repro.errors import (
     CapacityExceededError,
     InfeasibleOperationError,
     ReplicaConstraintError,
+    ReproError,
     UnknownBlockError,
+    UnknownMachineError,
 )
 
 
@@ -240,10 +244,36 @@ class TestMutations:
             PlacementState.from_assignment(problem, {99: (0,)})
         with pytest.raises(ReplicaConstraintError):
             PlacementState.from_assignment(problem, {0: (1, 1)})
+        with pytest.raises(UnknownMachineError, match="unknown machine id 6"):
+            PlacementState.from_assignment(problem, {0: (0,), 1: (6,)})
+        with pytest.raises(UnknownMachineError, match="unknown machine id -1"):
+            PlacementState.from_assignment(problem, {0: (-1,)})
         tight = make_problem(num_racks=1, per_rack=2, capacity=1,
                              pops=(1.0, 1.0), k=1)
         with pytest.raises(CapacityExceededError):
             PlacementState.from_assignment(tight, {0: (0,), 1: (0,)})
+
+    def test_loads_equal_the_per_replica_loop_bit_for_bit(self):
+        # The reference: one float addition per replica, blocks in
+        # problem order — the order the build and recompute() sum in.
+        problem = make_problem(num_racks=3, per_rack=3, capacity=5,
+                               pops=(6.1, 3.3, 1.7, 9.9, 0.3), k=2)
+        assignment = {3: (3, 5, 7), 0: (0, 4), 4: (4,), 1: (1, 8), 2: (2, 4)}
+        loads = np.zeros(problem.topology.num_machines)
+        rack_loads = np.zeros(problem.topology.num_racks)
+        for spec in problem:
+            holders = assignment[spec.block_id]
+            for machine in holders:
+                loads[machine] += spec.popularity / len(holders)
+                rack_loads[problem.topology.rack_of[machine]] += (
+                    spec.popularity / len(holders)
+                )
+        state = PlacementState.from_assignment(problem, assignment)
+        np.testing.assert_array_equal(state.loads(), loads)
+        np.testing.assert_array_equal(state.rack_loads(), rack_loads)
+        state.recompute()
+        np.testing.assert_array_equal(state.loads(), loads)
+        np.testing.assert_array_equal(state.rack_loads(), rack_loads)
 
     def test_under_replicated_blocks_listed(self):
         state = PlacementState(make_problem(k=2))
@@ -263,3 +293,83 @@ class TestMutations:
         incremental = state.loads()
         state.recompute()
         assert np.allclose(incremental, state.loads())
+
+
+# -- from_assignment against replaying add_replica ------------------------------
+
+_NUM_BLOCKS, _NUM_MACHINES = 4, 6
+# Weighted draws: unknown ids (past the end, or -1) are rare, machines
+# 0-2 are common so they fill up.
+_BLOCK_IDS = st.sampled_from([*range(_NUM_BLOCKS)] * 4 + [_NUM_BLOCKS])
+_MACHINE_IDS = st.sampled_from(
+    [*range(_NUM_MACHINES)] * 2 + [0, 1, 2] * 2 + [-1, _NUM_MACHINES]
+)
+
+
+def _replay_add_replica(problem, assignment):
+    """The oracle: an empty state fed one add_replica per replica."""
+    state = PlacementState(problem)
+    for block_id, machines in assignment.items():
+        if block_id not in problem:
+            raise UnknownBlockError(f"unknown block id {block_id}")
+        for machine in machines:
+            state.add_replica(block_id, machine)
+    return state
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except ReproError as exc:
+        return None, exc
+
+
+@given(
+    capacity=st.integers(1, 2),
+    pops=st.lists(
+        st.floats(0.0, 50.0), min_size=_NUM_BLOCKS, max_size=_NUM_BLOCKS
+    ),
+    entries=st.lists(
+        st.tuples(
+            _BLOCK_IDS,
+            # Some lists repeat a machine.
+            st.one_of(
+                st.lists(_MACHINE_IDS, max_size=3, unique=True),
+                st.lists(_MACHINE_IDS, max_size=3),
+            ),
+        ),
+        max_size=6,
+        unique_by=lambda entry: entry[0],
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_from_assignment_matches_add_replica_replay(capacity, pops, entries):
+    """Same first error as the replay, or the same state when valid."""
+    topo = ClusterTopology.uniform(2, _NUM_MACHINES // 2, capacity)
+    problem = PlacementProblem.from_popularities(
+        topo, pops, replication_factor=1
+    )
+    assignment = dict(entries)
+    expected, expected_error = _outcome(
+        lambda: _replay_add_replica(problem, assignment)
+    )
+    state, error = _outcome(
+        lambda: PlacementState.from_assignment(problem, assignment)
+    )
+    if expected_error is not None:
+        assert type(error) is type(expected_error)
+        assert str(error) == str(expected_error)
+        return
+    assert error is None
+    state.audit()
+    assert state.to_assignment() == expected.to_assignment()
+    np.testing.assert_allclose(state.loads(), expected.loads(), atol=1e-9)
+    for machine in topo.machines:
+        assert state.used_capacity(machine) == expected.used_capacity(machine)
+        assert [b for _, b in state.share_index(machine)] == [
+            b for _, b in expected.share_index(machine)
+        ]
+    for spec in problem:
+        assert state.rack_spread(spec.block_id) == expected.rack_spread(
+            spec.block_id
+        )

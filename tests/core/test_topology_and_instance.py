@@ -159,6 +159,26 @@ class TestPlacementProblem:
                 tiny, [1.0, 1.0], replication_factor=2
             )
 
+    @pytest.mark.parametrize("blocks, budget, message", [
+        # A duplicate id anywhere outranks an earlier misfit block.
+        ((BlockSpec(0, 1.0, 7), BlockSpec(1, 1.0, 1), BlockSpec(1, 1.0, 1)),
+         None, "duplicate block id 1"),
+        # The first misfit block is reported; factor before spread.
+        ((BlockSpec(0, 1.0, 3, 3), BlockSpec(1, 1.0, 7)),
+         None, "block 0: rack spread 3 exceeds rack count 2"),
+        ((BlockSpec(0, 1.0, 7, 3), BlockSpec(1, 1.0, 3, 3)),
+         None, "block 0: replication factor 7 exceeds machine count 6"),
+        # The budget check comes before the capacity check.
+        ((BlockSpec(0, 1.0, 6), BlockSpec(1, 1.0, 6)),
+         11, "replication budget 11 is below the minimum replica count 12"),
+    ])
+    def test_error_precedence(self, blocks, budget, message):
+        tight = ClusterTopology.uniform(2, 3, capacity=1)
+        with pytest.raises(InvalidProblemError, match=f"^{message}$"):
+            PlacementProblem(
+                topology=tight, blocks=blocks, replication_budget=budget
+            )
+
     def test_empty_problem_edge_cases(self):
         problem = PlacementProblem(topology=self.topo(), blocks=())
         assert problem.total_popularity() == 0.0
