@@ -22,6 +22,13 @@ Usage (installed as ``python -m repro``):
     python -m repro traces tel/ --top 5        # slowest causal traces
     python -m repro -v figures --quick         # INFO-level run logging
 
+``ha``, ``scrub`` and ``fsck`` are presets of the chaos scenarios:
+``ha`` is ``chaos --kill-leader --quick`` with a ``--kill-at``, ``scrub``
+is ``chaos --bit-rot`` with scrubber knobs, and ``fsck`` is ``chaos``
+reporting only its closing fsck.  A scenario command exits 0 when the
+storm ended healthy; 1 when it lost data or metadata, left corruption
+unrepaired or ended with an unhealthy fsck; 2 on a bad argument.
+
 All commands are deterministic for a given ``--seed``.  ``-v``/``-q``
 (repeatable) raise or lower the log level; ``figures --metrics-out DIR``
 dumps one observability snapshot per figure.  ``--telemetry-out DIR``
@@ -33,11 +40,16 @@ telemetry pipeline — sim-clock time series, causal traces, SLO verdicts
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
+import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs
+from repro.errors import ReproError
 from repro.experiments.ablation import (
     make_instance,
     render_ablations,
@@ -55,6 +67,7 @@ from repro.experiments.harness import (
     SystemKind,
     run_experiment,
 )
+from repro.obs.telemetry import TelemetrySession
 from repro.workload.stats import describe_trace
 from repro.workload.swim import SwimTraceConfig, generate_swim_trace, scale_down
 from repro.workload.yahoo import YahooTraceConfig, generate_yahoo_trace
@@ -176,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault profiles to arm",
     )
     chaos.add_argument(
-        "--throttle", type=int, default=8,
+        "--throttle", type=_non_negative_int, default=8,
         help="max concurrent re-replication transfers (0 = unlimited)",
     )
     chaos.add_argument(
@@ -198,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fraction of client reads that get a causal trace "
              "(with --telemetry-out)",
     )
-    chaos.add_argument(
+    variant = chaos.add_mutually_exclusive_group()
+    variant.add_argument(
         "--kill-leader", action="store_true",
         help="run the HA leader-kill scenario (replicated metadata "
              "plane) instead of the datanode fault storm",
@@ -207,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=3,
         help="namenode replicas for --kill-leader",
     )
-    chaos.add_argument(
+    variant.add_argument(
         "--bit-rot", action="store_true",
         help="run the silent-corruption scenario (bit-rot + torn "
              "writes vs the scrubber) instead of the outage storm",
@@ -427,11 +441,49 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--namenode", default=None, help=argparse.SUPPRESS)
     serve.add_argument("--announce", default=None, help=argparse.SUPPRESS)
     serve.add_argument("--leader", default=None, help=argparse.SUPPRESS)
+
+    for command, handler in (
+        (figures, _cmd_figures), (trace, _cmd_trace),
+        (ablation, _cmd_ablation), (scale, _cmd_scale),
+        (sensitivity, _cmd_sensitivity), (metrics, _cmd_metrics),
+        (report, _cmd_report), (traces, _cmd_traces), (serve, _cmd_serve),
+        (chaos, lambda args: _run_scenario(
+            args, _KILL_LEADER if args.kill_leader
+            else _BIT_ROT if args.bit_rot else _CHAOS,
+        )),
+        (scrub, lambda args: _run_scenario(args, _SCRUB)),
+        (ha, lambda args: _run_scenario(args, _HA)),
+        (overload, lambda args: _run_scenario(
+            args, _OVERLOAD if args.protected_only else _OVERLOAD_PAIR,
+        )),
+        (fsck, lambda args: _run_scenario(args, _FSCK)),
+    ):
+        command.set_defaults(handler=handler, parser=command)
     return parser
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write ``text`` and a newline to ``path``, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
+def _print_report(path: Path, text: str) -> None:
+    """Write a report file, print it and say where it went."""
+    _write(path, text)
+    print(text)
+    print(f"[written {path}]")
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_figures(args: argparse.Namespace) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     epsilons = tuple(args.epsilons)
     if args.quick:
         cluster: Optional[ClusterConfig] = _QUICK_CLUSTER
@@ -462,10 +514,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             obs.get_registry().reset()
             obs.get_tracer().clear()
         text = runners[number]()
-        target = args.out / f"fig{number}.txt"
-        target.write_text(text + "\n", encoding="utf-8")
-        print(text)
-        print(f"[written {target}]")
+        _print_report(args.out / f"fig{number}.txt", text)
         if args.metrics_out is not None:
             snapshot = obs.write_snapshot(
                 args.metrics_out / f"fig{number}.metrics.json"
@@ -473,8 +522,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             print(f"[written {snapshot}]")
         print()
     if args.telemetry_out is not None:
-        from repro.obs.telemetry import TelemetrySession
-
         # The figure sweeps share one workload; a single instrumented
         # Aurora replay of it is what the dashboard reports on.
         session = TelemetrySession(
@@ -525,17 +572,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     instance = make_instance(num_blocks=args.blocks, seed=args.seed)
     text = render_ablations(
         run_initial_placement_ablation(instance),
         run_factor_ablation(instance),
         run_epsilon_ablation(instance),
     )
-    target = args.out / "ablations.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
+    _print_report(args.out / "ablations.txt", text)
     return 0
 
 
@@ -547,14 +590,10 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         run_solver_scale_study,
     )
 
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.solver:
         solver_points = run_solver_scale_study(seed=args.seed)
         text = render_solver_scale_study(solver_points)
-        target = args.out / "solver_scale.txt"
-        target.write_text(text + "\n", encoding="utf-8")
-        print(text)
-        print(f"[written {target}]")
+        _print_report(args.out / "solver_scale.txt", text)
         return 0 if all(p.results_match for p in solver_points) else 1
     points = run_scale_study(
         machines_per_rack_options=tuple(args.machines_per_rack),
@@ -563,10 +602,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     text = render_scale_study(points)
-    target = args.out / "scale_study.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
+    _print_report(args.out / "scale_study.txt", text)
     return 0
 
 
@@ -577,7 +613,6 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         run_window_sensitivity,
     )
 
-    args.out.mkdir(parents=True, exist_ok=True)
     trace = default_trace(seed=args.seed, duration_hours=args.hours)
     window = render_sensitivity(
         run_window_sensitivity(trace, seed=args.seed, jobs=args.jobs),
@@ -588,383 +623,287 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         "replication cap K",
     )
     text = window + "\n\n" + cap
-    target = args.out / "sensitivity.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
+    _print_report(args.out / "sensitivity.txt", text)
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import ChaosConfig, render_chaos, run_chaos
-    from repro.obs.telemetry import TelemetrySession
+# ---------------------------------------------------------------------------
+# Scenario commands share one driver: config from the flags, run the
+# storm, write and print its report, exit 0 only if every result is
+# healthy.  Storm modules are imported, and their functions looked up,
+# at call time: tests patch the functions, and a storm module registers
+# its metrics only in the runs that use it.
+# ---------------------------------------------------------------------------
 
-    if args.kill_leader:
-        return _cmd_kill_leader(args)
-    if args.bit_rot:
-        return _cmd_bit_rot(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.metrics_out is not None:
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario command: flags -> config -> storm -> report."""
+
+    #: The storm's config from the flags; a ReproError is a usage error.
+    config: Callable[[argparse.Namespace], Any]
+    #: ``(results, report text, telemetry directories written)``.
+    run: Callable[[argparse.Namespace, Any], Tuple[List, str, List[Path]]]
+    #: Whether one result is healthy.
+    healthy: Callable[[Any], bool]
+    #: Report file under --out (None: stdout only).
+    report: Optional[str] = None
+    #: What --json holds, from the first result.
+    summary: Optional[Callable[[Any], Any]] = None
+
+
+def _run_scenario(args: argparse.Namespace, scenario: _Scenario) -> int:
+    try:
+        config = scenario.config(args)
+    except ReproError as exc:
+        args.parser.error(str(exc))
+    metrics_out = getattr(args, "metrics_out", None)
+    if metrics_out is not None:
         obs.enable()
         obs.get_registry().reset()
         obs.get_tracer().clear()
-    throttle = args.throttle if args.throttle > 0 else None
+    results, text, written = scenario.run(args, config)
+    if scenario.report is not None:
+        written.insert(0, _write(args.out / scenario.report, text))
+    print(text)
+    if scenario.summary is not None and args.json is not None:
+        summary = scenario.summary(results[0])
+        written.append(_write(args.json, json.dumps(summary, indent=2)))
+    if metrics_out is not None:
+        written.append(obs.write_snapshot(metrics_out))
+    for path in written:
+        print(f"[written {path}]")
+    return 0 if all(scenario.healthy(result) for result in results) else 1
+
+
+def _experiment(name: str) -> Any:
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _storm(
+    module: str, run: str, render: str, telemetry: Optional[Callable] = None
+) -> Callable:
+    """One run of ``<module>.<run>``, reported by ``<module>.<render>``."""
+
+    def execute(args: argparse.Namespace, config: Any):
+        storm = _experiment(module)
+        traced = telemetry and getattr(args, "telemetry_out", None)
+        session = telemetry(args, config) if traced else None
+        result = getattr(storm, run)(config, telemetry=session)
+        written = [session.write(args.telemetry_out)] if session else []
+        return [result], getattr(storm, render)(result), written
+
+    return execute
+
+
+def _telemetry(
+    args: argparse.Namespace, label: str, interval: float, **meta: Any
+) -> TelemetrySession:
+    """The session that one run records for --telemetry-out."""
+    session = TelemetrySession(
+        label=label, seed=args.seed,
+        trace_sample_rate=args.trace_sample_rate, interval=interval,
+    )
+    session.meta.update(meta)
+    return session
+
+
+def _chaos_telemetry(
+    args: argparse.Namespace, config: Any, label: str, **meta: Any
+) -> TelemetrySession:
+    """A chaos-family session, sampled every third read tick."""
+    return _telemetry(
+        args, label, min(60.0, config.read_interval * 3),
+        horizon=config.horizon, quick=args.quick, **meta,
+    )
+
+
+def _overload_telemetry(
+    args: argparse.Namespace, config: Any, leg: str = "protected"
+) -> TelemetrySession:
+    return _telemetry(
+        args, f"overload-{leg}", config.tick * 2, command="overload",
+        load_multiplier=config.load_multiplier,
+        shed_policy=config.shed_policy, horizon=config.horizon,
+    )
+
+
+def _overload_pair(args: argparse.Namespace, config: Any):
+    """Protected then unprotected storm, each leg's telemetry apart."""
+    legs = ("protected", "unprotected")
+    sessions = [
+        _overload_telemetry(args, config, leg) if args.telemetry_out else None
+        for leg in legs
+    ]
+    overload = _experiment("overload")
+    results = overload.run_overload_pair(
+        config, telemetry=sessions[0], unprotected_telemetry=sessions[1],
+    )
+    written = [
+        session.write(args.telemetry_out / leg)
+        for leg, session in zip(legs, sessions) if session is not None
+    ]
+    text = "\n\n".join(
+        [overload.render_overload_pair(*results)]
+        + [overload.render_overload(result) for result in results]
+    )
+    return list(results), text, written
+
+
+def _fsck_run(args: argparse.Namespace, config: Any):
+    from repro.dfs import fsck
+
+    result = _experiment("chaos").run_chaos(config)
+    return [result], fsck.render_fsck(result.fsck), []
+
+
+def _chaos_config(args: argparse.Namespace) -> Any:
+    chaos = _experiment("chaos")
+    common = dict(
+        profiles=tuple(args.profiles),
+        replication_throttle=args.throttle or None, seed=args.seed,
+    )
     if args.quick:
         # Small cluster, short storm, dense reads and faster faults:
         # enough failovers and recovery episodes in ~30 simulated
         # minutes to exercise every telemetry stage.
-        config = ChaosConfig(
+        return chaos.ChaosConfig(
             num_racks=3, machines_per_rack=3, capacity_blocks=100,
             num_files=8, horizon=1800.0, read_interval=5.0,
-            crash_mtbf=600.0, partition_mtbf=900.0, drain=600.0,
-            profiles=tuple(args.profiles),
-            replication_throttle=throttle, seed=args.seed,
+            crash_mtbf=600.0, partition_mtbf=900.0, drain=600.0, **common,
         )
-    else:
-        config = ChaosConfig(
-            horizon=args.hours * 3600.0,
-            profiles=tuple(args.profiles),
-            replication_throttle=throttle,
-            seed=args.seed,
-        )
-    session = None
-    if args.telemetry_out is not None:
-        session = TelemetrySession(
-            label=f"chaos-{'-'.join(args.profiles)}",
-            seed=args.seed,
-            trace_sample_rate=args.trace_sample_rate,
-            interval=min(60.0, config.read_interval * 3),
-        )
-        session.meta.update({
-            "command": "chaos",
-            "profiles": list(args.profiles),
-            "horizon": config.horizon,
-            "quick": args.quick,
-        })
-    result = run_chaos(config, telemetry=session)
-    text = render_chaos(result)
-    target = args.out / "chaos.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
-    if session is not None:
-        print(f"[written {session.write(args.telemetry_out)}]")
-    if args.metrics_out is not None:
-        snapshot = obs.write_snapshot(args.metrics_out)
-        print(f"[written {snapshot}]")
-    # A chaos run that lost blocks or ended with an unhealthy namespace
-    # is a failure — same 0/1 contract as ``repro fsck``.
-    healthy = result.blocks_lost == 0 and (
-        result.fsck is None or result.fsck.healthy
-    )
-    return 0 if healthy else 1
+    return chaos.ChaosConfig(horizon=args.hours * 3600.0, **common)
 
 
-def _cmd_kill_leader(args: argparse.Namespace) -> int:
-    """``repro chaos --kill-leader``: HA failover under workload."""
-    from repro.experiments.chaos import (
-        LeaderKillConfig,
-        render_leader_kill,
-        run_leader_kill,
-    )
-    from repro.obs.telemetry import TelemetrySession
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.metrics_out is not None:
-        obs.enable()
-        obs.get_registry().reset()
-        obs.get_tracer().clear()
+def _kill_leader_config(args: argparse.Namespace) -> Any:
+    chaos = _experiment("chaos")
     if args.quick:
-        config = LeaderKillConfig(
+        return chaos.LeaderKillConfig(
             num_replicas=args.replicas, seed=args.seed,
         )
-    else:
-        horizon = args.hours * 3600.0
-        # Kill the leader just before the mid-run Aurora period tick,
-        # so the outage interrupts one period and aborts the next.
-        period = LeaderKillConfig.aurora_period
-        kill_at = max(1.0, (horizon / 2) // period * period - 10.0)
-        config = LeaderKillConfig(
-            num_racks=4, machines_per_rack=4, capacity_blocks=300,
-            horizon=horizon, kill_at=kill_at,
-            num_replicas=args.replicas, seed=args.seed,
-        )
-    session = None
-    if args.telemetry_out is not None:
-        session = TelemetrySession(
-            label="chaos-kill-leader",
-            seed=args.seed,
-            trace_sample_rate=args.trace_sample_rate,
-            interval=min(60.0, config.read_interval * 3),
-        )
-        session.meta.update({
-            "command": "chaos --kill-leader",
-            "replicas": args.replicas,
-            "horizon": config.horizon,
-            "kill_at": config.kill_at,
-            "quick": args.quick,
-        })
-    result = run_leader_kill(config, telemetry=session)
-    text = render_leader_kill(result)
-    target = args.out / "chaos_kill_leader.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
-    if session is not None:
-        print(f"[written {session.write(args.telemetry_out)}]")
-    if args.metrics_out is not None:
-        snapshot = obs.write_snapshot(args.metrics_out)
-        print(f"[written {snapshot}]")
-    # Losing metadata across a failover is the one thing the HA plane
-    # exists to prevent; surface it in the exit code.
-    healthy = result.metadata_lost == 0 and (
-        result.fsck is None or result.fsck.healthy
+    horizon = args.hours * 3600.0
+    # Kill the leader just before the mid-run Aurora period tick, so
+    # the outage interrupts one period and aborts the next.
+    period = chaos.LeaderKillConfig.aurora_period
+    return chaos.LeaderKillConfig(
+        num_racks=4, machines_per_rack=4, capacity_blocks=300,
+        horizon=horizon,
+        kill_at=max(1.0, (horizon / 2) // period * period - 10.0),
+        num_replicas=args.replicas, seed=args.seed,
     )
-    return 0 if healthy else 1
 
 
-def _cmd_bit_rot(args: argparse.Namespace) -> int:
-    """``repro chaos --bit-rot``: silent corruption vs the scrubber."""
-    from repro.experiments.bitrot import (
-        BitRotConfig,
-        render_bit_rot,
-        run_bit_rot,
-    )
-    from repro.obs.telemetry import TelemetrySession
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.metrics_out is not None:
-        obs.enable()
-        obs.get_registry().reset()
-        obs.get_tracer().clear()
+def _bit_rot_config(args: argparse.Namespace) -> Any:
+    config = _experiment("bitrot").BitRotConfig
+    common = dict(replication_throttle=args.throttle or None, seed=args.seed)
     if args.quick:
         # Short horizon, dense rot: every integrity path (quarantine,
         # verified-source repair, purge) fires within ~30 sim minutes.
-        config = BitRotConfig(
+        return config(
             num_files=8, horizon=1800.0, bitrot_mtbf=600.0,
-            tornwrite_mtbf=1200.0, drain=900.0, seed=args.seed,
+            tornwrite_mtbf=1200.0, drain=900.0, **common,
         )
-    else:
-        config = BitRotConfig(
-            horizon=args.hours * 3600.0, seed=args.seed,
-        )
-    session = None
-    if args.telemetry_out is not None:
-        session = TelemetrySession(
-            label="chaos-bit-rot",
-            seed=args.seed,
-            trace_sample_rate=args.trace_sample_rate,
-            interval=min(60.0, config.read_interval * 3),
-        )
-        session.meta.update({
-            "command": "chaos --bit-rot",
-            "horizon": config.horizon,
-            "quick": args.quick,
-        })
-    result = run_bit_rot(config, telemetry=session)
-    text = render_bit_rot(result)
-    target = args.out / "chaos_bit_rot.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
-    if session is not None:
-        print(f"[written {session.write(args.telemetry_out)}]")
-    if args.metrics_out is not None:
-        snapshot = obs.write_snapshot(args.metrics_out)
-        print(f"[written {snapshot}]")
-    # Same health contract as ``repro scrub``: lost or still-corrupt
-    # data fails the run.
-    healthy = (
+    return config(horizon=args.hours * 3600.0, **common)
+
+
+def _fsck_ok(result: Any) -> bool:
+    return result.fsck is None or result.fsck.healthy
+
+
+def _leader_kill_ok(result: Any) -> bool:
+    # Losing metadata across a failover is what the HA plane prevents.
+    return result.metadata_lost == 0 and _fsck_ok(result)
+
+
+def _bit_rot_ok(result: Any) -> bool:
+    return (
         result.blocks_permanently_lost == 0
         and result.episodes_unrepaired == 0
-        and (result.fsck is None or result.fsck.healthy)
-    )
-    return 0 if healthy else 1
-
-
-def _cmd_scrub(args: argparse.Namespace) -> int:
-    """``repro scrub``: background-scrubber demo with custom knobs."""
-    import json
-
-    from repro.experiments.bitrot import (
-        BitRotConfig,
-        render_bit_rot,
-        run_bit_rot,
+        and _fsck_ok(result)
     )
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    config = BitRotConfig(
+
+_CHAOS = _Scenario(
+    config=_chaos_config,
+    run=_storm(
+        "chaos", "run_chaos", "render_chaos",
+        lambda args, config: _chaos_telemetry(
+            args, config, f"chaos-{'-'.join(args.profiles)}",
+            command="chaos", profiles=list(args.profiles),
+        ),
+    ),
+    healthy=lambda result: result.blocks_lost == 0 and _fsck_ok(result),
+    report="chaos.txt",
+)
+_KILL_LEADER = _Scenario(
+    config=_kill_leader_config,
+    run=_storm(
+        "chaos", "run_leader_kill", "render_leader_kill",
+        lambda args, config: _chaos_telemetry(
+            args, config, "chaos-kill-leader", command="chaos --kill-leader",
+            replicas=args.replicas, kill_at=config.kill_at,
+        ),
+    ),
+    healthy=_leader_kill_ok,
+    report="chaos_kill_leader.txt",
+)
+_BIT_ROT = _Scenario(
+    config=_bit_rot_config,
+    run=_storm(
+        "bitrot", "run_bit_rot", "render_bit_rot",
+        lambda args, config: _chaos_telemetry(
+            args, config, "chaos-bit-rot", command="chaos --bit-rot",
+        ),
+    ),
+    healthy=_bit_rot_ok,
+    report="chaos_bit_rot.txt",
+)
+# ``ha``, ``scrub`` and ``fsck`` are presets of the three chaos storms.
+_HA = dataclasses.replace(
+    _KILL_LEADER,
+    config=lambda args: _experiment("chaos").LeaderKillConfig(
+        num_replicas=args.replicas, kill_at=args.kill_at, seed=args.seed,
+    ),
+    report="ha.txt",
+)
+_SCRUB = dataclasses.replace(
+    _BIT_ROT,
+    config=lambda args: _experiment("bitrot").BitRotConfig(
         horizon=args.hours * 3600.0,
         scrub_interval=args.scrub_interval,
         scrub_bytes_per_second=args.scrub_mbps * 1024 * 1024,
         bitrot_mtbf=args.bitrot_mtbf,
         seed=args.seed,
-    )
-    result = run_bit_rot(config)
-    text = render_bit_rot(result)
-    target = args.out / "scrub.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(result.summary(), indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"[written {args.json}]")
-    # A scrub demo that loses data or leaves rot unrepaired is a
-    # failure, same contract as ``repro fsck``.
-    healthy = (
-        result.blocks_permanently_lost == 0
-        and result.episodes_unrepaired == 0
-        and (result.fsck is None or result.fsck.healthy)
-    )
-    return 0 if healthy else 1
-
-
-def _cmd_ha(args: argparse.Namespace) -> int:
-    """``repro ha``: quick replicated-metadata-plane demo."""
-    from repro.experiments.chaos import (
-        LeaderKillConfig,
-        render_leader_kill,
-        run_leader_kill,
-    )
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    config = LeaderKillConfig(
-        num_replicas=args.replicas, kill_at=args.kill_at, seed=args.seed,
-    )
-    result = run_leader_kill(config)
-    text = render_leader_kill(result)
-    target = args.out / "ha.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
-    healthy = result.metadata_lost == 0 and (
-        result.fsck is None or result.fsck.healthy
-    )
-    return 0 if healthy else 1
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    from repro.experiments.overload import (
-        OverloadStormConfig,
-        render_overload,
-        render_overload_pair,
-        run_overload,
-        run_overload_pair,
-    )
-
-    from repro.obs.telemetry import TelemetrySession
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.metrics_out is not None:
-        obs.enable()
-        obs.get_registry().reset()
-        obs.get_tracer().clear()
-    config = OverloadStormConfig(
-        horizon=args.minutes * 60.0,
-        load_multiplier=args.load,
-        shed_policy=args.policy,
+    ),
+    report="scrub.txt",
+    summary=lambda result: result.summary(),
+)
+_FSCK = _Scenario(
+    config=lambda args: _experiment("chaos").ChaosConfig(
+        horizon=args.hours * 3600.0, profiles=tuple(args.profiles),
         seed=args.seed,
-    )
-
-    def make_session(label: str) -> Optional[TelemetrySession]:
-        if args.telemetry_out is None:
-            return None
-        session = TelemetrySession(
-            label=label, seed=args.seed,
-            trace_sample_rate=args.trace_sample_rate,
-            interval=config.tick * 2,
-        )
-        session.meta.update({
-            "command": "overload",
-            "load_multiplier": config.load_multiplier,
-            "shed_policy": config.shed_policy,
-            "horizon": config.horizon,
-        })
-        return session
-
-    if args.protected_only:
-        session = make_session("overload-protected")
-        protected = run_overload(config, telemetry=session)
-        results = [protected]
-        text = render_overload(protected)
-        if session is not None:
-            print(f"[written {session.write(args.telemetry_out)}]")
-    else:
-        protected_session = make_session("overload-protected")
-        unprotected_session = make_session("overload-unprotected")
-        written = []
-
-        def flush_protected() -> None:
-            # The second leg's install() clears the shared span buffer,
-            # so the protected leg must hit disk between the two runs.
-            if protected_session is not None:
-                written.append(protected_session.write(
-                    args.telemetry_out / "protected"
-                ))
-
-        protected, unprotected = run_overload_pair(
-            config,
-            telemetry=protected_session,
-            unprotected_telemetry=unprotected_session,
-            between=flush_protected,
-        )
-        results = [protected, unprotected]
-        if unprotected_session is not None:
-            written.append(unprotected_session.write(
-                args.telemetry_out / "unprotected"
-            ))
-        for path in written:
-            print(f"[written {path}]")
-        text = "\n\n".join([
-            render_overload_pair(protected, unprotected),
-            render_overload(protected),
-            render_overload(unprotected),
-        ])
-    target = args.out / "overload.txt"
-    target.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"[written {target}]")
-    if args.metrics_out is not None:
-        snapshot = obs.write_snapshot(args.metrics_out)
-        print(f"[written {snapshot}]")
-    # Overload sheds reads by design, but it must never corrupt the
-    # namespace — an unhealthy closing fsck in either leg fails the run.
-    healthy = all(
-        result.fsck is None or result.fsck.healthy for result in results
-    )
-    return 0 if healthy else 1
-
-
-def _cmd_fsck(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.dfs.fsck import render_fsck
-    from repro.experiments.chaos import ChaosConfig, run_chaos
-
-    config = ChaosConfig(
-        horizon=args.hours * 3600.0,
-        profiles=tuple(args.profiles),
-        seed=args.seed,
-    )
-    result = run_chaos(config)
-    report = result.fsck
-    assert report is not None  # run_chaos always checks
-    print(render_fsck(report))
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"[written {args.json}]")
-    return 0 if report.healthy else 1
+    ),
+    run=_fsck_run,
+    healthy=lambda result: result.fsck.healthy,
+    summary=lambda result: result.fsck.to_dict(),
+)
+# Overload sheds reads by design, but it must never corrupt the
+# namespace: an unhealthy closing fsck in either leg fails the run.
+_OVERLOAD = _Scenario(
+    config=lambda args: _experiment("overload").OverloadStormConfig(
+        horizon=args.minutes * 60.0, load_multiplier=args.load,
+        shed_policy=args.policy, seed=args.seed,
+    ),
+    run=_storm(
+        "overload", "run_overload", "render_overload", _overload_telemetry,
+    ),
+    healthy=_fsck_ok,
+    report="overload.txt",
+)
+_OVERLOAD_PAIR = dataclasses.replace(_OVERLOAD, run=_overload_pair)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
     if args.from_file is not None:
         # Offline mode: rehydrate a saved snapshot into a fresh registry
         # and render it, without touching the process-global state.
@@ -1034,8 +973,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.telemetry import TelemetryBundle
     from repro.obs.tracing import format_trace
 
@@ -1059,18 +996,13 @@ def _cmd_traces(args: argparse.Namespace) -> int:
         print()
     print(f"[{len(traces)} trace(s) shown of {total} recorded]")
     if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps([t.to_dict() for t in traces], indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write(args.json, json.dumps([t.to_dict() for t in traces], indent=2))
         print(f"[written {args.json}]")
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the cluster as real processes over sockets."""
-    import json
     import time
 
     from repro.serve.supervisor import (
@@ -1105,11 +1037,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else serve_demo(config, seed=args.seed)
         )
         if args.json is not None:
-            args.json.parent.mkdir(parents=True, exist_ok=True)
-            args.json.write_text(
-                json.dumps(result, indent=2, default=str) + "\n",
-                encoding="utf-8",
-            )
+            _write(args.json, json.dumps(result, indent=2, default=str))
             print(f"[written {args.json}]")
         for key, value in result.items():
             print(f"  {key:<28} {value}")
@@ -1140,35 +1068,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     obs.configure(level=obs.verbosity_to_level(args.verbose, args.quiet))
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "ablation":
-        return _cmd_ablation(args)
-    if args.command == "scale":
-        return _cmd_scale(args)
-    if args.command == "sensitivity":
-        return _cmd_sensitivity(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "scrub":
-        return _cmd_scrub(args)
-    if args.command == "ha":
-        return _cmd_ha(args)
-    if args.command == "overload":
-        return _cmd_overload(args)
-    if args.command == "fsck":
-        return _cmd_fsck(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "traces":
-        return _cmd_traces(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -32,29 +32,25 @@ health check instead of hiding.
 from __future__ import annotations
 
 import logging
-import random
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster.topology import ClusterTopology
-from repro.dfs.client import DfsClient
-from repro.dfs.fsck import FsckReport, run_fsck
-from repro.dfs.heartbeat import HeartbeatService
+from repro.dfs.fsck import run_fsck
 from repro.dfs.integrity import BlockScrubber, ScrubConfig
-from repro.dfs.namenode import Namenode
-from repro.dfs.policies import DefaultHdfsPolicy
-from repro.dfs.replication import TransferService
-from repro.errors import (
-    ChecksumError,
-    DatanodeUnavailableError,
-    InvalidProblemError,
+from repro.errors import ChecksumError, InvalidProblemError
+from repro.experiments.scenario import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioResult,
+    format_counts,
+    fsck_lines,
+    slo_lines,
 )
-from repro.faults import BitRotProfile, FaultInjector, TornWriteProfile
+from repro.faults import BitRotProfile, TornWriteProfile
 from repro.obs.slo import availability_slo, latency_slo
 from repro.obs.telemetry import TelemetrySession
 from repro.overload.admission import AdmissionController
-from repro.simulation.engine import Simulation
 
 __all__ = [
     "BitRotConfig",
@@ -68,26 +64,16 @@ _LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class BitRotConfig:
+class BitRotConfig(ScenarioConfig):
     """One bit-rot run: cluster shape, rot rates and scrub cadence."""
 
     num_racks: int = 3
     machines_per_rack: int = 3
-    capacity_blocks: int = 120
-    num_files: int = 12
-    blocks_per_file: int = 4
-    block_size: int = 64 * 1024 * 1024
-    replication: int = 3
-    rack_spread: int = 2
-    horizon: float = 2 * 3600.0
-    heartbeat_interval: float = 3.0
-    heartbeat_expiry: float = 30.0
     #: Deliberately light read workload: the scenario's headline claim
     #: is that the scrubber finds rot before clients trip over it, so
     #: reads must be sparse relative to the scrub cadence.
     read_interval: float = 60.0
     reads_per_tick: int = 2
-    replication_check_interval: float = 60.0
     replication_throttle: Optional[int] = 8
     #: Per-machine mean time between silent corruption strikes.
     bitrot_mtbf: float = 3600.0
@@ -97,18 +83,14 @@ class BitRotConfig:
     #: Admission tokens/second for scrub ticks (None = priced like
     #: re-replication traffic, the AdmissionController default).
     scrub_admission_rate: Optional[float] = None
-    drain: float = 1800.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise InvalidProblemError("horizon must be positive")
+        super().__post_init__()
         if self.read_interval <= 0:
             raise InvalidProblemError("read_interval must be positive")
         if self.bitrot_mtbf <= 0 or self.tornwrite_mtbf <= 0:
             raise InvalidProblemError("corruption MTBFs must be positive")
-        if not 1 <= self.rack_spread <= self.replication:
-            raise InvalidProblemError("rack_spread must be in [1, replication]")
+        self.scrub_config()  # reject a scrubber that cannot run, up front
 
     def scrub_config(self) -> ScrubConfig:
         """The scrubber slice of this config."""
@@ -119,10 +101,9 @@ class BitRotConfig:
 
 
 @dataclass
-class BitRotResult:
+class BitRotResult(ScenarioResult):
     """What a bit-rot run observed."""
 
-    config: BitRotConfig
     total_blocks: int = 0
     faults_injected: Dict[str, int] = field(default_factory=dict)
     reads_attempted: int = 0
@@ -150,8 +131,6 @@ class BitRotResult:
     scrub_full_scans: int = 0
     scrub_ticks_deferred: int = 0
     scrub_last_scan_duration: Optional[float] = None
-    fsck: Optional[FsckReport] = None
-    slo_statuses: List = field(default_factory=list)
 
     @property
     def corrupt_read_rate(self) -> float:
@@ -279,103 +258,44 @@ def run_bit_rot(
     and a ``verify_checksums=True`` fsck then assert nothing slipped
     through.
     """
-    sim = Simulation()
-    topology = ClusterTopology.uniform(
-        config.num_racks, config.machines_per_rack, config.capacity_blocks
-    )
-    transfers = TransferService(
-        topology, sim=sim, rng=random.Random(config.seed + 1)
-    )
-    namenode = Namenode(
-        topology,
-        placement_policy=DefaultHdfsPolicy(random.Random(config.seed + 2)),
-        sim=sim,
-        transfer_service=transfers,
-        default_replication=config.replication,
-        default_rack_spread=config.rack_spread,
-        rng=random.Random(config.seed + 3),
-        replication_throttle=config.replication_throttle,
+    scenario = Scenario(config, telemetry, default_integrity_slos)
+    sim = scenario.sim
+    namenode = scenario.start(
+        scenario.make_namenode(config.replication_throttle)
     )
     # Scrub I/O goes through the same admission gate as repair traffic.
     namenode.admission = AdmissionController(
         scrub_rate=config.scrub_admission_rate,
     )
-    heartbeats = HeartbeatService(
-        sim, namenode,
-        interval=config.heartbeat_interval,
-        expiry=config.heartbeat_expiry,
-    )
-    heartbeats.start()
-    client = DfsClient(
-        namenode,
-        trace_sampler=(
-            telemetry.sampler() if telemetry is not None else None
-        ),
-    )
-    if telemetry is not None:
-        telemetry.install(sim)
-        if not telemetry.slo.objectives:
-            for objective in default_integrity_slos(config):
-                telemetry.add_objective(objective)
+    client = scenario.client()
+    _, blocks = scenario.seed_files(client, "/bitrot")
 
-    blocks: List[int] = []
-    for index in range(config.num_files):
-        meta = client.write_file(
-            f"/bitrot/{index}",
-            num_blocks=config.blocks_per_file,
-            block_size=config.block_size,
-        )
-        blocks.extend(meta.block_ids)
-
-    injector = FaultInjector(
-        sim, namenode,
-        [
-            BitRotProfile(mtbf=config.bitrot_mtbf),
-            TornWriteProfile(mtbf=config.tornwrite_mtbf),
-        ],
-        horizon=config.horizon, seed=config.seed, heartbeats=heartbeats,
-    )
-    injector.install()
+    injector = scenario.inject([
+        BitRotProfile(mtbf=config.bitrot_mtbf),
+        TornWriteProfile(mtbf=config.tornwrite_mtbf),
+    ])
 
     scrubber = BlockScrubber(sim, namenode, config.scrub_config())
     scrubber.start()
 
     result = BitRotResult(config=config, total_blocks=len(blocks))
-    reader_rng = random.Random(config.seed + 4)
 
     def read_tick() -> None:
         for _ in range(config.reads_per_tick):
-            block = reader_rng.choice(blocks)
-            reader = reader_rng.randrange(topology.num_machines)
-            result.reads_attempted += 1
-            try:
-                outcome = client.read_block(block, reader)
-            except ChecksumError:
+            error = scenario.read(client, blocks, result)
+            if isinstance(error, ChecksumError):
                 # Every live replica failed verification — the client
                 # surfaced an error rather than corrupt bytes.
-                result.reads_failed += 1
                 result.reads_failed_checksum += 1
-            except DatanodeUnavailableError:
-                result.reads_failed += 1
-            else:
-                result.reads_served += 1
-                if outcome.failed_over:
-                    result.read_failovers += 1
 
     reader_token = sim.schedule_periodic(config.read_interval, read_tick)
-    check_token = sim.schedule_periodic(
-        config.replication_check_interval, namenode.check_replication
-    )
-
-    sim.run(until=config.horizon)
-    reader_token.cancel()
+    scenario.check_replication_every()
+    scenario.run_storm(reader_token)
     # Rot is one-shot and bounded by the horizon; the drain just has to
     # be long enough for full scrub passes over the post-storm cluster
     # and for the repair queue to settle.
-    sim.run(until=config.horizon + config.drain)
-    check_token.cancel()
+    scenario.drain()
     scrubber.stop()
-    heartbeats.stop()
 
     namenode.audit()  # quarantine vs block map must reconcile
     result.fsck = run_fsck(namenode, verify_checksums=True)
@@ -405,8 +325,7 @@ def run_bit_rot(
     result.scrub_full_scans = scrubber.full_scans
     result.scrub_ticks_deferred = scrubber.ticks_deferred
     result.scrub_last_scan_duration = scrubber.last_scan_duration
-    if telemetry is not None:
-        result.slo_statuses = telemetry.finish(sim.now)
+    result.slo_statuses = scenario.slo_statuses()
     _LOG.info(
         "bit-rot run done: strikes=%s detections=%s repaired=%d/%d "
         "lost=%d corrupt_read_rate=%.4f",
@@ -438,11 +357,8 @@ def render_bit_rot(result: BitRotResult) -> str:
         f"{config.scrub_bytes_per_second / (1024 * 1024):.0f}MBps)",
         "",
         f"  blocks tracked            {result.total_blocks}",
-        f"  corruption strikes        "
-        + (", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(result.faults_injected.items())
-        ) or "none"),
+        "  corruption strikes        "
+        + (format_counts(result.faults_injected) or "none"),
         "",
         f"  reads attempted           {result.reads_attempted}",
         f"  reads served verified     {result.reads_served}",
@@ -474,22 +390,6 @@ def render_bit_rot(result: BitRotResult) -> str:
         f"  scrub ticks deferred      {result.scrub_ticks_deferred}",
         f"  re-replications completed {result.replications_completed}",
     ]
-    if result.fsck is not None:
-        lines.append(
-            "  deep fsck                 "
-            + ("healthy"
-               if result.fsck.healthy
-               else f"{len(result.fsck.violations)} violation(s)")
-        )
-    if result.slo_statuses:
-        lines.append("")
-        lines.append("  SLOs:")
-        for status in result.slo_statuses:
-            lines.append(
-                f"    {status.objective.name:<28}"
-                f"{'PASS' if status.compliant else 'VIOLATED':<10}"
-                f"sli={status.overall_sli:.4f} "
-                f"target={status.objective.target:.4f} "
-                f"violation_min={status.violation_minutes:.1f}"
-            )
+    lines += fsck_lines(result.fsck, "deep fsck")
+    lines += slo_lines(result.slo_statuses)
     return "\n".join(lines)

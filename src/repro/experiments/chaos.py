@@ -25,21 +25,14 @@ disagreement.
 from __future__ import annotations
 
 import logging
-import random
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.aurora.config import AuroraConfig
 from repro.aurora.system import AuroraSystem
-from repro.cluster.topology import ClusterTopology
-from repro.dfs.client import DfsClient
-from repro.dfs.fsck import FsckReport, run_fsck
+from repro.dfs.fsck import run_fsck
 from repro.dfs.ha import HaCluster, HaConfig, rebind_aurora
-from repro.dfs.heartbeat import HeartbeatService
-from repro.dfs.namenode import Namenode
-from repro.dfs.policies import DefaultHdfsPolicy
-from repro.dfs.replication import TransferService
 from repro.errors import (
     DatanodeUnavailableError,
     DfsError,
@@ -47,8 +40,15 @@ from repro.errors import (
     NoLeaderError,
     SafeModeError,
 )
+from repro.experiments.scenario import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioResult,
+    format_counts,
+    fsck_lines,
+    slo_lines,
+)
 from repro.faults import (
-    FaultInjector,
     FaultProfile,
     LeaderKillProfile,
     profile_from_name,
@@ -56,7 +56,6 @@ from repro.faults import (
 from repro.obs.registry import get_registry
 from repro.obs.slo import availability_slo, latency_slo
 from repro.obs.telemetry import TelemetrySession
-from repro.simulation.engine import Simulation
 
 __all__ = ["ChaosConfig", "ChaosResult", "run_chaos", "render_chaos",
            "default_chaos_slos", "LeaderKillConfig", "LeaderKillResult",
@@ -76,23 +75,11 @@ _HA_OPS_FAILED = _REG.counter(
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(ScenarioConfig):
     """One chaos run: cluster shape, workload rate and fault profiles."""
 
-    num_racks: int = 4
-    machines_per_rack: int = 4
-    capacity_blocks: int = 120
-    num_files: int = 12
-    blocks_per_file: int = 4
-    block_size: int = 64 * 1024 * 1024
-    replication: int = 3
-    rack_spread: int = 2
-    horizon: float = 2 * 3600.0
-    heartbeat_interval: float = 3.0
-    heartbeat_expiry: float = 30.0
     read_interval: float = 20.0
     reads_per_tick: int = 4
-    replication_check_interval: float = 60.0
     replication_throttle: Optional[int] = 8
     profiles: Tuple[str, ...] = ("crash", "partition", "flaky")
     crash_mtbf: float = 1800.0
@@ -103,16 +90,11 @@ class ChaosConfig:
     gray_duration: float = 600.0
     flaky_probability: float = 0.15
     msgloss_probability: float = 0.4
-    drain: float = 1800.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise InvalidProblemError("horizon must be positive")
+        super().__post_init__()
         if self.read_interval <= 0:
             raise InvalidProblemError("read_interval must be positive")
-        if not 1 <= self.rack_spread <= self.replication:
-            raise InvalidProblemError("rack_spread must be in [1, replication]")
 
     def build_profiles(self) -> List[FaultProfile]:
         """Materialize the named profiles with this config's knobs."""
@@ -132,10 +114,9 @@ class ChaosConfig:
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(ScenarioResult):
     """What a chaos run observed."""
 
-    config: ChaosConfig
     total_blocks: int = 0
     blocks_lost: int = 0
     faults_injected: Dict[str, int] = field(default_factory=dict)
@@ -155,14 +136,6 @@ class ChaosResult:
     reconciliations: int = 0
     recovery_times: List[float] = field(default_factory=list)
     bytes_wasted: int = 0
-    fsck: Optional[FsckReport] = None
-    # Evaluated SloStatus list when the run carried a TelemetrySession.
-    slo_statuses: List = field(default_factory=list)
-
-    @property
-    def slo_violation_minutes(self) -> float:
-        """Total simulated minutes any objective was out of compliance."""
-        return sum(s.violation_minutes for s in self.slo_statuses)
 
     @property
     def read_availability(self) -> float:
@@ -227,93 +200,36 @@ def run_chaos(
     causal traces of client reads, and the default chaos SLO set
     (evaluated into ``result.slo_statuses``).
     """
-    sim = Simulation()
-    topology = ClusterTopology.uniform(
-        config.num_racks, config.machines_per_rack, config.capacity_blocks
+    scenario = Scenario(config, telemetry, default_chaos_slos)
+    sim = scenario.sim
+    namenode = scenario.start(
+        scenario.make_namenode(config.replication_throttle)
     )
-    transfers = TransferService(
-        topology, sim=sim, rng=random.Random(config.seed + 1)
-    )
-    namenode = Namenode(
-        topology,
-        placement_policy=DefaultHdfsPolicy(random.Random(config.seed + 2)),
-        sim=sim,
-        transfer_service=transfers,
-        default_replication=config.replication,
-        default_rack_spread=config.rack_spread,
-        rng=random.Random(config.seed + 3),
-        replication_throttle=config.replication_throttle,
-    )
-    heartbeats = HeartbeatService(
-        sim, namenode,
-        interval=config.heartbeat_interval,
-        expiry=config.heartbeat_expiry,
-    )
-    heartbeats.start()
-    client = DfsClient(
-        namenode,
-        trace_sampler=(
-            telemetry.sampler() if telemetry is not None else None
-        ),
-    )
-    if telemetry is not None:
-        telemetry.install(sim)
-        if not telemetry.slo.objectives:
-            for objective in default_chaos_slos(config):
-                telemetry.add_objective(objective)
+    transfers, heartbeats = namenode.transfers, scenario.heartbeats
+    client = scenario.client()
+    _, blocks = scenario.seed_files(client, "/chaos")
 
-    blocks: List[int] = []
-    for index in range(config.num_files):
-        meta = client.write_file(
-            f"/chaos/{index}",
-            num_blocks=config.blocks_per_file,
-            block_size=config.block_size,
-        )
-        blocks.extend(meta.block_ids)
-
-    injector = FaultInjector(
-        sim, namenode, config.build_profiles(),
-        horizon=config.horizon, seed=config.seed, heartbeats=heartbeats,
-    )
-    injector.install()
+    injector = scenario.inject(config.build_profiles())
 
     result = ChaosResult(config=config, total_blocks=len(blocks))
-    reader_rng = random.Random(config.seed + 4)
 
     def read_tick() -> None:
         for _ in range(config.reads_per_tick):
-            block = reader_rng.choice(blocks)
-            reader = reader_rng.randrange(topology.num_machines)
-            result.reads_attempted += 1
-            try:
-                outcome = client.read_block(block, reader)
-            except DatanodeUnavailableError:
-                result.reads_failed += 1
-            else:
-                result.reads_served += 1
-                if outcome.failed_over:
-                    result.read_failovers += 1
+            scenario.read(client, blocks, result)
 
     reader_token = sim.schedule_periodic(config.read_interval, read_tick)
-    check_token = sim.schedule_periodic(
-        config.replication_check_interval, namenode.check_replication
-    )
-
-    sim.run(until=config.horizon)
-    reader_token.cancel()
+    scenario.check_replication_every()
+    scenario.run_storm(reader_token)
     # Disarm the probabilistic hooks so the drain can actually finish
-    # its repairs; timed recoveries are already scheduled.
+    # its repairs; timed recoveries are already scheduled, and the drain
+    # runs at least ``drain`` past the last of them.
     transfers.fault_hook = None
     heartbeats.loss_filter = None
-    drain_until = config.horizon + config.drain
     last_recovery = max(
         (event.time for event in injector.plan() if event.is_recovery),
         default=0.0,
     )
-    drain_until = max(drain_until, last_recovery + config.drain)
-    sim.run(until=drain_until)
-    check_token.cancel()
-    heartbeats.stop()
+    scenario.drain(max(config.horizon, last_recovery) + config.drain)
 
     namenode.audit()  # placement metadata must reconcile after the storm
     result.fsck = run_fsck(namenode)
@@ -334,8 +250,7 @@ def run_chaos(
     result.false_suspicions = heartbeats.false_suspicions
     result.reconciliations = heartbeats.reconciliations
     result.recovery_times = list(namenode.recovery_times)
-    if telemetry is not None:
-        result.slo_statuses = telemetry.finish(sim.now)
+    result.slo_statuses = scenario.slo_statuses()
     _LOG.info(
         "chaos run done: availability=%.4f lost=%d episodes=%d "
         "retries=%d rollbacks=%d",
@@ -363,11 +278,8 @@ def render_chaos(result: ChaosResult) -> str:
         f"  reads that failed over    {result.read_failovers}",
         f"  reads from gray nodes     {result.degraded_reads}",
         "",
-        f"  faults injected           "
-        + (", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(result.faults_injected.items())
-        ) or "none"),
+        "  faults injected           "
+        + (format_counts(result.faults_injected) or "none"),
         f"  failures detected         {result.detected_failures}",
         f"  false suspicions          {result.false_suspicions}",
         f"  block-report reconciles   {result.reconciliations}",
@@ -384,24 +296,7 @@ def render_chaos(result: ChaosResult) -> str:
         f"  mean time to full repl.   {result.mean_recovery_seconds:.1f}s",
         f"  max time to full repl.    {result.max_recovery_seconds:.1f}s",
     ]
-    if result.fsck is not None:
-        lines.append(
-            "  fsck                      "
-            + ("healthy"
-               if result.fsck.healthy
-               else f"{len(result.fsck.violations)} violation(s)")
-        )
-    if result.slo_statuses:
-        lines.append("")
-        lines.append("  SLOs:")
-        for status in result.slo_statuses:
-            lines.append(
-                f"    {status.objective.name:<28}"
-                f"{'PASS' if status.compliant else 'VIOLATED':<10}"
-                f"sli={status.overall_sli:.4f} "
-                f"target={status.objective.target:.4f} "
-                f"violation_min={status.violation_minutes:.1f}"
-            )
+    lines += fsck_lines(result.fsck) + slo_lines(result.slo_statuses)
     return "\n".join(lines)
 
 
@@ -411,7 +306,7 @@ def render_chaos(result: ChaosResult) -> str:
 
 
 @dataclass(frozen=True)
-class LeaderKillConfig:
+class LeaderKillConfig(ScenarioConfig):
     """One leader-kill run: HA metadata plane under a steady workload.
 
     A :class:`~repro.dfs.ha.HaCluster` serves a mixed read/write stream
@@ -424,13 +319,9 @@ class LeaderKillConfig:
     num_racks: int = 3
     machines_per_rack: int = 3
     capacity_blocks: int = 200
-    #: Files preloaded before the workload (and the kill) starts.
-    num_files: int = 12
     blocks_per_file: int = 2
-    block_size: int = 64 * 1024 * 1024
-    replication: int = 3
-    rack_spread: int = 2
     horizon: float = 1800.0
+    drain: float = 300.0
     #: When the leader dies.  Defaults to late in an Aurora optimization
     #: period (periods tick at multiples of ``aurora_period``), so the
     #: in-flight period is interrupted AND the next period boundary
@@ -438,35 +329,29 @@ class LeaderKillConfig:
     kill_at: float = 950.0
     #: When the killed replica rejoins as a follower (0 = never).
     revive_after: float = 600.0
-    heartbeat_interval: float = 3.0
-    heartbeat_expiry: float = 30.0
     aurora_period: float = 120.0
     read_interval: float = 5.0
     reads_per_tick: int = 2
     write_interval: float = 20.0
-    replication_check_interval: float = 60.0
-    drain: float = 300.0
     # HA-plane knobs (see HaConfig).
     num_replicas: int = 3
     lease_timeout: float = 10.0
     election_jitter: float = 5.0
     ship_interval: float = 2.0
     checkpoint_every: int = 40
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 < self.kill_at < self.horizon:
             raise InvalidProblemError("kill_at must fall inside the horizon")
         if self.write_interval <= 0 or self.read_interval <= 0:
             raise InvalidProblemError("workload intervals must be positive")
-        if not 1 <= self.rack_spread <= self.replication:
-            raise InvalidProblemError("rack_spread must be in [1, replication]")
+        self.ha_config()  # reject a plane that cannot run, up front
         # Size the stream against the disks so the run cannot exhaust
         # capacity mid-flight and masquerade as an HA failure.
         writes = int(self.horizon / self.write_interval) + self.num_files
         demand = writes * self.blocks_per_file * self.replication
-        capacity = (self.num_racks * self.machines_per_rack
-                    * self.capacity_blocks)
+        capacity = self.num_machines * self.capacity_blocks
         if demand > 0.8 * capacity:
             raise InvalidProblemError(
                 f"workload would fill {demand}/{capacity} block slots; "
@@ -486,10 +371,9 @@ class LeaderKillConfig:
 
 
 @dataclass
-class LeaderKillResult:
+class LeaderKillResult(ScenarioResult):
     """What a leader-kill run observed."""
 
-    config: LeaderKillConfig
     files_acknowledged: int = 0
     write_ops_served: int = 0
     write_ops_failed: int = 0
@@ -508,8 +392,6 @@ class LeaderKillResult:
     time_to_writable: Optional[float] = None
     metadata_lost: int = 0
     timeline: List[Dict] = field(default_factory=list)
-    fsck: Optional[FsckReport] = None
-    slo_statuses: List = field(default_factory=list)
 
     @property
     def write_availability(self) -> float:
@@ -590,41 +472,12 @@ def run_leader_kill(
     :func:`~repro.dfs.fsck.run_fsck` is handed every path the client
     saw acknowledged and reports any that vanished as metadata loss.
     """
-    sim = Simulation()
-    topology = ClusterTopology.uniform(
-        config.num_racks, config.machines_per_rack, config.capacity_blocks
-    )
-
-    def make_namenode() -> Namenode:
-        transfers = TransferService(
-            topology, sim=sim, rng=random.Random(config.seed + 1)
-        )
-        return Namenode(
-            topology,
-            placement_policy=DefaultHdfsPolicy(random.Random(config.seed + 2)),
-            sim=sim,
-            transfer_service=transfers,
-            default_replication=config.replication,
-            default_rack_spread=config.rack_spread,
-            rng=random.Random(config.seed + 3),
-        )
-
-    cluster = HaCluster(sim, config.ha_config(), make_namenode)
-    namenode = cluster.start()
-    heartbeats = HeartbeatService(
-        sim, namenode,
-        interval=config.heartbeat_interval,
-        expiry=config.heartbeat_expiry,
-    )
-    heartbeats.start()
-    cluster.heartbeats = heartbeats
-
-    client = DfsClient(
-        namenode,
-        trace_sampler=(
-            telemetry.sampler() if telemetry is not None else None
-        ),
-    )
+    scenario = Scenario(config, telemetry, default_ha_slos)
+    sim = scenario.sim
+    cluster = HaCluster(sim, config.ha_config(), scenario.make_namenode)
+    namenode = scenario.start(cluster.start())
+    cluster.heartbeats = scenario.heartbeats
+    client = scenario.client()
     aurora = AuroraSystem(
         namenode,
         AuroraConfig(
@@ -638,34 +491,15 @@ def run_leader_kill(
         lambda fresh: setattr(client, "namenode", fresh)
     )
 
-    if telemetry is not None:
-        telemetry.install(sim)
-        if not telemetry.slo.objectives:
-            for objective in default_ha_slos(config):
-                telemetry.add_objective(objective)
-
     result = LeaderKillResult(config=config)
-    acknowledged: List[str] = []
-    blocks: List[int] = []
-    for index in range(config.num_files):
-        meta = client.write_file(
-            f"/ha/seed/{index}",
-            num_blocks=config.blocks_per_file,
-            block_size=config.block_size,
-        )
-        acknowledged.append(f"/ha/seed/{index}")
-        blocks.extend(meta.block_ids)
+    acknowledged, blocks = scenario.seed_files(client, "/ha/seed")
 
-    injector = FaultInjector(
-        sim, namenode,
+    scenario.inject(
         [LeaderKillProfile(times=(config.kill_at,),
                            revive_after=config.revive_after)],
-        horizon=config.horizon, seed=config.seed,
-        heartbeats=heartbeats, ha=cluster,
+        ha=cluster,
     )
-    injector.install()
 
-    reader_rng = random.Random(config.seed + 4)
     write_counter = [0]
 
     def write_tick() -> None:
@@ -681,29 +515,24 @@ def run_leader_kill(
             # Fenced, in safe mode or leaderless: the op is the outage's
             # cost; the path was never acknowledged so fsck won't expect it.
             result.write_ops_failed += 1
-            if _REG.enabled:
-                _HA_OPS_FAILED.inc()
+            _HA_OPS_FAILED.inc()
         else:
             result.write_ops_served += 1
             acknowledged.append(path)
             blocks.extend(meta.block_ids)
-            if _REG.enabled:
-                _HA_OPS_SERVED.inc()
+            _HA_OPS_SERVED.inc()
 
     def read_tick() -> None:
         for _ in range(config.reads_per_tick):
-            block = reader_rng.choice(blocks)
-            reader = reader_rng.randrange(topology.num_machines)
+            block, reader = scenario.pick_read(blocks)
             try:
                 client.read_block(block, reader)
             except (DatanodeUnavailableError, DfsError):
                 result.read_ops_failed += 1
-                if _REG.enabled:
-                    _HA_OPS_FAILED.inc()
+                _HA_OPS_FAILED.inc()
             else:
                 result.read_ops_served += 1
-                if _REG.enabled:
-                    _HA_OPS_SERVED.inc()
+                _HA_OPS_SERVED.inc()
 
     def aurora_tick() -> None:
         try:
@@ -734,16 +563,9 @@ def run_leader_kill(
     write_token = sim.schedule_periodic(config.write_interval, write_tick)
     read_token = sim.schedule_periodic(config.read_interval, read_tick)
     aurora_token = sim.schedule_periodic(config.aurora_period, aurora_tick)
-    check_token = sim.schedule_periodic(
-        config.replication_check_interval, replication_tick
-    )
-
-    sim.run(until=config.horizon)
-    for token in (write_token, read_token, aurora_token):
-        token.cancel()
-    sim.run(until=config.horizon + config.drain)
-    check_token.cancel()
-    heartbeats.stop()
+    scenario.check_replication_every(replication_tick)
+    scenario.run_storm(write_token, read_token, aurora_token)
+    scenario.drain()
     cluster.stop()
 
     active = cluster.active  # drain must end with an elected leader
@@ -766,8 +588,7 @@ def run_leader_kill(
     if cluster.time_to_writable:
         result.time_to_writable = cluster.time_to_writable[0]
     result.timeline = list(cluster.events)
-    if telemetry is not None:
-        result.slo_statuses = telemetry.finish(sim.now)
+    result.slo_statuses = scenario.slo_statuses()
     _LOG.info(
         "leader-kill run done: failovers=%d t_leader=%s t_writable=%s "
         "lost=%d write_avail=%.4f",
@@ -812,13 +633,7 @@ def render_leader_kill(result: LeaderKillResult) -> str:
         f"  aurora periods            {result.aurora_periods_completed} "
         f"completed, {result.aurora_periods_aborted} aborted",
     ]
-    if result.fsck is not None:
-        lines.append(
-            "  fsck                      "
-            + ("healthy"
-               if result.fsck.healthy
-               else f"{len(result.fsck.violations)} violation(s)")
-        )
+    lines += fsck_lines(result.fsck)
     if result.timeline:
         lines.append("")
         lines.append("  timeline:")
@@ -829,15 +644,5 @@ def render_leader_kill(result: LeaderKillResult) -> str:
             )
             lines.append(f"    t={event['t']:>8.1f}  {event['event']:<16}"
                          f"{detail}")
-    if result.slo_statuses:
-        lines.append("")
-        lines.append("  SLOs:")
-        for status in result.slo_statuses:
-            lines.append(
-                f"    {status.objective.name:<28}"
-                f"{'PASS' if status.compliant else 'VIOLATED':<10}"
-                f"sli={status.overall_sli:.4f} "
-                f"target={status.objective.target:.4f} "
-                f"violation_min={status.violation_minutes:.1f}"
-            )
+    lines += slo_lines(result.slo_statuses)
     return "\n".join(lines)

@@ -31,20 +31,21 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.aurora.config import AuroraConfig
 from repro.aurora.system import AuroraSystem
-from repro.cluster.topology import ClusterTopology
-from repro.dfs.client import DfsClient
-from repro.dfs.fsck import FsckReport, run_fsck
-from repro.dfs.heartbeat import HeartbeatService
-from repro.dfs.namenode import Namenode
-from repro.dfs.policies import DefaultHdfsPolicy
-from repro.dfs.replication import TransferService
+from repro.dfs.fsck import run_fsck
 from repro.errors import DatanodeUnavailableError, InvalidProblemError
+from repro.experiments.scenario import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioResult,
+    format_counts,
+    fsck_lines,
+    slo_lines,
+)
 from repro.obs.slo import availability_slo, latency_slo, threshold_slo
 from repro.obs.telemetry import TelemetrySession
 from repro.overload import (
@@ -52,7 +53,6 @@ from repro.overload import (
     ShedPolicy,
     install_overload_protection,
 )
-from repro.simulation.engine import Simulation
 
 __all__ = [
     "OverloadStormConfig",
@@ -72,20 +72,14 @@ _UNBOUNDED = 1_000_000
 
 
 @dataclass(frozen=True)
-class OverloadStormConfig:
+class OverloadStormConfig(ScenarioConfig):
     """One overload storm: cluster, workload skew, and protections."""
 
-    num_racks: int = 4
-    machines_per_rack: int = 4
     capacity_blocks: int = 200
     num_files: int = 10
-    blocks_per_file: int = 4
-    block_size: int = 64 * 1024 * 1024
-    replication: int = 3
-    rack_spread: int = 2
     horizon: float = 600.0
-    tick: float = 5.0
     drain: float = 120.0
+    tick: float = 5.0
     # Offered read load as a multiple of aggregate service capacity
     # (num_machines * service_rate requests/s).
     load_multiplier: float = 1.5
@@ -100,9 +94,6 @@ class OverloadStormConfig:
     protected: bool = True
     # Zipf exponent of the block popularity skew (1.0+ = heavy head).
     zipf_s: float = 1.2
-    heartbeat_interval: float = 3.0
-    heartbeat_expiry: float = 30.0
-    replication_check_interval: float = 60.0
     aurora: bool = True
     aurora_period: float = 120.0
     aurora_epsilon: float = 0.1
@@ -116,11 +107,9 @@ class OverloadStormConfig:
     crash_node: bool = True
     crash_at_fraction: float = 0.3
     recover_at_fraction: float = 0.55
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise InvalidProblemError("horizon must be positive")
+        super().__post_init__()
         if self.tick <= 0:
             raise InvalidProblemError("tick must be positive")
         if self.load_multiplier <= 0:
@@ -131,20 +120,11 @@ class OverloadStormConfig:
             raise InvalidProblemError("slo_latency must be positive")
         if self.zipf_s < 0:
             raise InvalidProblemError("zipf_s must be non-negative")
-        if not 1 <= self.rack_spread <= self.replication:
-            raise InvalidProblemError(
-                "rack_spread must be in [1, replication]"
-            )
         if not 0.0 < self.crash_at_fraction < self.recover_at_fraction <= 1.0:
             raise InvalidProblemError(
                 "need 0 < crash_at_fraction < recover_at_fraction <= 1"
             )
         ShedPolicy(self.shed_policy)  # validates the name
-
-    @property
-    def num_machines(self) -> int:
-        """Cluster size."""
-        return self.num_racks * self.machines_per_rack
 
     @property
     def offered_rate(self) -> float:
@@ -158,10 +138,9 @@ class OverloadStormConfig:
 
 
 @dataclass
-class OverloadStormResult:
+class OverloadStormResult(ScenarioResult):
     """What one overload storm observed."""
 
-    config: OverloadStormConfig
     reads_attempted: int = 0
     reads_served: int = 0
     reads_failed: int = 0
@@ -185,14 +164,6 @@ class OverloadStormResult:
     peak_saturation: float = 0.0
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     latencies: List[float] = field(default_factory=list)
-    fsck: Optional[FsckReport] = None
-    # Evaluated SloStatus list when the run carried a TelemetrySession.
-    slo_statuses: List = field(default_factory=list)
-
-    @property
-    def slo_violation_minutes(self) -> float:
-        """Total simulated minutes any objective was out of compliance."""
-        return sum(s.violation_minutes for s in self.slo_statuses)
 
     @property
     def availability(self) -> float:
@@ -276,36 +247,9 @@ def run_overload(
     overload SLO set — so protected vs unprotected storms compare as
     SLO-violation minutes, not just end-of-run aggregates.
     """
-    sim = Simulation()
-    topology = ClusterTopology.uniform(
-        config.num_racks, config.machines_per_rack, config.capacity_blocks
-    )
-    transfers = TransferService(
-        topology, sim=sim, rng=random.Random(config.seed + 1)
-    )
-    namenode = Namenode(
-        topology,
-        placement_policy=DefaultHdfsPolicy(random.Random(config.seed + 2)),
-        sim=sim,
-        transfer_service=transfers,
-        default_replication=config.replication,
-        default_rack_spread=config.rack_spread,
-        rng=random.Random(config.seed + 3),
-        replication_throttle=8,
-    )
-    heartbeats = HeartbeatService(
-        sim, namenode,
-        interval=config.heartbeat_interval,
-        expiry=config.heartbeat_expiry,
-    )
-    heartbeats.start()
-
-    sampler = telemetry.sampler() if telemetry is not None else None
-    if telemetry is not None:
-        telemetry.install(sim)
-        if not telemetry.slo.objectives:
-            for objective in default_overload_slos(config):
-                telemetry.add_objective(objective)
+    scenario = Scenario(config, telemetry, default_overload_slos)
+    sim = scenario.sim
+    namenode = scenario.start(scenario.make_namenode(8))
 
     if config.protected:
         protection = install_overload_protection(namenode, OverloadConfig(
@@ -314,11 +258,9 @@ def run_overload(
             shed_policy=ShedPolicy(config.shed_policy),
             hedge_latency_budget=config.hedge_latency_budget,
         ))
-        client = DfsClient(
-            namenode,
+        client = scenario.client(
             breakers=protection.breakers(),
             hedge_latency_budget=config.hedge_latency_budget,
-            trace_sampler=sampler,
         )
     else:
         protection = install_overload_protection(namenode, OverloadConfig(
@@ -327,19 +269,12 @@ def run_overload(
             shed_policy=ShedPolicy.REJECT,
         ))
         namenode.admission = None  # background traffic never yields
-        client = DfsClient(namenode, trace_sampler=sampler)
+        client = scenario.client()
 
-    blocks: List[int] = []
-    for index in range(config.num_files):
-        meta = client.write_file(
-            f"/overload/{index}",
-            num_blocks=config.blocks_per_file,
-            block_size=config.block_size,
-        )
-        blocks.extend(meta.block_ids)
+    _, blocks = scenario.seed_files(client, "/overload")
 
     result = OverloadStormResult(config=config)
-    reader_rng = random.Random(config.seed + 4)
+    reader_rng = scenario.reader_rng
     weights = _zipf_weights(len(blocks), config.zipf_s)
 
     # Brownout detection wants the high-water mark since the last
@@ -390,16 +325,14 @@ def run_overload(
             blocks, weights=weights, k=config.reads_per_tick
         )
         for block in chosen:
-            reader = reader_rng.randrange(topology.num_machines)
+            reader = reader_rng.randrange(config.num_machines)
             offset = reader_rng.uniform(0.0, config.tick)
             sim.schedule(
                 offset, lambda b=block, r=reader: one_read(b, r)
             )
 
     reader_token = sim.schedule_periodic(config.tick, read_tick)
-    check_token = sim.schedule_periodic(
-        config.replication_check_interval, namenode.check_replication
-    )
+    scenario.check_replication_every()
 
     if config.crash_node:
         # The most loaded node makes the best victim: its blocks are the
@@ -414,11 +347,8 @@ def run_overload(
             lambda: namenode.recover_node(victim),
         )
 
-    sim.run(until=config.horizon)
-    reader_token.cancel()
-    sim.run(until=config.horizon + config.drain)
-    check_token.cancel()
-    heartbeats.stop()
+    scenario.run_storm(reader_token)
+    scenario.drain()
 
     result.reads_shed = client.reads_shed
     result.read_failovers = client.read_failovers
@@ -436,7 +366,7 @@ def run_overload(
     result.migrations_deferred = namenode.migrations_deferred
     result.migrations_shed = namenode.migrations_shed
     result.replications_completed = namenode.replications_completed
-    result.bytes_by_kind = dict(transfers.bytes_by_kind)
+    result.bytes_by_kind = dict(namenode.transfers.bytes_by_kind)
     if aurora is not None:
         result.brownout_periods = sum(
             1 for report in aurora.reports if report.brownout
@@ -446,8 +376,7 @@ def run_overload(
             report.deferred_moves for report in aurora.reports
         )
     result.fsck = run_fsck(namenode)
-    if telemetry is not None:
-        result.slo_statuses = telemetry.finish(sim.now)
+    result.slo_statuses = scenario.slo_statuses()
     _LOG.info(
         "overload storm done: protected=%s availability=%.4f p99=%.2fs "
         "shed=%d brownout_periods=%d",
@@ -461,21 +390,15 @@ def run_overload_pair(
     config: OverloadStormConfig,
     telemetry: Optional[TelemetrySession] = None,
     unprotected_telemetry: Optional[TelemetrySession] = None,
-    between: Optional[callable] = None,
 ) -> Tuple[OverloadStormResult, OverloadStormResult]:
     """The same storm with and without protection (protected first).
 
-    Each leg takes its own session (installing a session resets the
-    shared registry/tracer, so one session cannot span both legs);
-    ``between`` runs after the protected leg — the CLI uses it to write
-    the protected leg's telemetry before the second install clears the
-    span buffer.
+    Each leg takes its own session: installing a session resets the
+    shared registry and tracer, so one session cannot span both legs.
     """
     protected = run_overload(
         dataclasses.replace(config, protected=True), telemetry=telemetry
     )
-    if between is not None:
-        between()
     unprotected = run_overload(
         dataclasses.replace(config, protected=False),
         telemetry=unprotected_telemetry,
@@ -518,31 +441,9 @@ def render_overload(result: OverloadStormResult) -> str:
         f"  moves deferred (brownout) {result.deferred_moves}",
     ]
     if result.bytes_by_kind:
-        lines.append(
-            "  transfer bytes by kind    "
-            + ", ".join(
-                f"{kind}={count}"
-                for kind, count in sorted(result.bytes_by_kind.items())
-            )
-        )
-    if result.fsck is not None:
-        lines.append(
-            "  fsck                      "
-            + ("healthy"
-               if result.fsck.healthy
-               else f"{len(result.fsck.violations)} violation(s)")
-        )
-    if result.slo_statuses:
-        lines.append("")
-        lines.append("  SLOs:")
-        for status in result.slo_statuses:
-            lines.append(
-                f"    {status.objective.name:<28}"
-                f"{'PASS' if status.compliant else 'VIOLATED':<10}"
-                f"sli={status.overall_sli:.4f} "
-                f"target={status.objective.target:.4f} "
-                f"violation_min={status.violation_minutes:.1f}"
-            )
+        lines.append("  transfer bytes by kind    "
+                     + format_counts(result.bytes_by_kind))
+    lines += fsck_lines(result.fsck) + slo_lines(result.slo_statuses)
     return "\n".join(lines)
 
 

@@ -76,6 +76,8 @@ class TelemetrySession:
         self.slo = SloEngine(self.recorder)
         self.meta: Dict[str, Any] = {}
         self._statuses: Optional[List[SloStatus]] = None
+        # The spans and registry as :meth:`finish` left them.
+        self._final: Optional[Dict[str, Any]] = None
 
     # -- wiring --------------------------------------------------------------
 
@@ -103,10 +105,25 @@ class TelemetrySession:
     # -- results -------------------------------------------------------------
 
     def finish(self, sim_time: float) -> List[SloStatus]:
-        """Take the final sample and evaluate every objective."""
+        """Take the final sample and evaluate every objective.
+
+        Also keeps the run's spans and registry snapshot as they stand,
+        so :meth:`write` records this run even after a later session's
+        :meth:`install` has cleared the shared registry and tracer.
+        """
         self.recorder.sample(sim_time)
         self._statuses = self.slo.evaluate()
+        self._final = self._live()
         return self._statuses
+
+    def _live(self) -> Dict[str, Any]:
+        return {
+            "spans_recorded": self.tracer.recorded,
+            "spans.json": self.tracer.as_dicts(),
+            "snapshot.json": exporters.snapshot_dict(
+                self.registry, self.tracer
+            ),
+        }
 
     @property
     def statuses(self) -> List[SloStatus]:
@@ -125,6 +142,7 @@ class TelemetrySession:
         directory.mkdir(parents=True, exist_ok=True)
         if self._statuses is None:
             self._statuses = self.slo.evaluate()
+        final = self._final or self._live()
         start, end = self.recorder.span()
         meta = {
             "label": self.label,
@@ -133,17 +151,15 @@ class TelemetrySession:
             "sim_end": end,
             "trace_sample_rate": self.trace_sample_rate,
             "samples_taken": self.recorder.samples_taken,
-            "spans_recorded": self.tracer.recorded,
+            "spans_recorded": final["spans_recorded"],
         }
         meta.update(self.meta)
         payloads = {
             "meta.json": meta,
             "timeseries.json": self.recorder.to_dict(),
             "slo.json": [status.to_dict() for status in self._statuses],
-            "spans.json": self.tracer.as_dicts(),
-            "snapshot.json": exporters.snapshot_dict(
-                self.registry, self.tracer
-            ),
+            "spans.json": final["spans.json"],
+            "snapshot.json": final["snapshot.json"],
         }
         for name, payload in payloads.items():
             (directory / name).write_text(

@@ -97,6 +97,26 @@ class TestTelemetrySession:
         traces = bundle.traces()
         assert traces and traces[0].name == "dfs.read"
 
+    def test_write_after_a_later_install_records_the_finished_run(
+        self, tmp_path
+    ):
+        # Two sessions on one registry and tracer, run back to back (as
+        # the overload A/B pair does): the first session must still
+        # write its own spans and counters after the second install()
+        # has reset them.
+        first, registry, tracer = make_session(label="first")
+        run_fake_workload(first, registry, tracer)
+        second = TelemetrySession(
+            registry=registry, tracer=tracer, label="second", interval=10.0,
+        )
+        second.install(Simulation())
+        bundle = TelemetryBundle.load(first.write(tmp_path / "first"))
+        assert bundle.meta["spans_recorded"] == 12
+        assert len(bundle.traces()) == 12
+        assert bundle.snapshot["metrics"]["reads_total"]["series"] == {
+            "": 108.0
+        }
+
     def test_load_rejects_non_telemetry_directory(self, tmp_path):
         (tmp_path / "meta.json").write_text("{}", encoding="utf-8")
         with pytest.raises(MetricsError, match="timeseries.json"):

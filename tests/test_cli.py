@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import logging
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,6 +139,41 @@ class TestChaosCommand:
         ])
         assert code == 0
         assert "throttle=None" in (tmp_path / "chaos.txt").read_text()
+
+    def test_kill_leader_and_bit_rot_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "chaos", "--kill-leader", "--bit-rot", "--quick",
+                "--out", str(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "chaos_kill_leader.txt").exists()
+
+    @pytest.mark.parametrize("throttle, expected", [
+        ("3", 3), ("0", None),
+    ])
+    def test_bit_rot_honours_throttle(
+        self, tmp_path, monkeypatch, throttle, expected
+    ):
+        import repro.experiments.bitrot as bitrot
+
+        seen = []
+
+        def fake_run(config, telemetry=None):
+            seen.append(config)
+            return SimpleNamespace(
+                blocks_permanently_lost=0, episodes_unrepaired=0, fsck=None,
+            )
+
+        monkeypatch.setattr(bitrot, "run_bit_rot", fake_run)
+        monkeypatch.setattr(bitrot, "render_bit_rot", lambda result: "")
+        code = main([
+            "chaos", "--bit-rot", "--quick", "--throttle", throttle,
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert [config.replication_throttle for config in seen] == [expected]
 
 
 class TestMetricsCommand:
@@ -321,6 +358,71 @@ class TestTelemetryPipeline:
         meta = json.loads((tmp_path / "tel" / "meta.json").read_text())
         assert meta["label"] == "figures-reference"
         assert meta["samples_taken"] > 0
+
+
+class TestScenarioReports:
+    """Every scenario command, run for real at seed 0, pinned by digest.
+
+    The digests are sha256 of the report file each command writes; they
+    were recorded before the scenario commands moved onto one shared
+    cluster builder and CLI driver, which had to leave every byte alone.
+    A change that declares a decision change (the storms behave
+    differently on purpose) re-records them, as it re-records the
+    metrics baselines in ``benchmarks/baselines``.
+    """
+
+    # ``repro ha`` at its defaults and ``repro chaos --kill-leader
+    # --quick`` build the same config, so they must write the same bytes.
+    LEADER_KILL = (
+        "4cff1dbf848bf9d23c539a8aafa923c871e7135c7740f2d97a9241ccc30cfb62"
+    )
+    CASES = {
+        "chaos": (
+            ["chaos", "--quick"], "chaos.txt",
+            "f495fad708909c8b476d21847c6cc45e14ae703eeead77c9cb18b3f1241bec6d",
+        ),
+        "chaos-bit-rot": (
+            ["chaos", "--bit-rot", "--quick"], "chaos_bit_rot.txt",
+            "4ed91703293a32e030a0a930463e327f2aadce92807e598014588ffbddc58e2f",
+        ),
+        "chaos-kill-leader": (
+            ["chaos", "--kill-leader", "--quick"], "chaos_kill_leader.txt",
+            LEADER_KILL,
+        ),
+        "ha": (["ha"], "ha.txt", LEADER_KILL),
+        "scrub": (
+            ["scrub", "--hours", "0.5"], "scrub.txt",
+            "1f9ea23ca54197a516299b2648707d93efb7d84ca2bb259cd874a42b03bb6281",
+        ),
+        "overload": (
+            ["overload", "--minutes", "2", "--protected-only"],
+            "overload.txt",
+            "ff157343a793b94e1bb893553c91539b67f3c7ede6025db034ae91817f4acf66",
+        ),
+    }
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(CASES), ids=str)
+    def test_report_digest(self, name, tmp_path, capsys, clean_observability):
+        argv, report, expected = self.CASES[name]
+        code = main(argv + ["--seed", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert self.digest(tmp_path / report) == expected
+        capsys.readouterr()
+
+    def test_fsck_json_digest(self, tmp_path, capsys, clean_observability):
+        target = tmp_path / "fsck.json"
+        code = main([
+            "fsck", "--hours", "0.25", "--seed", "0", "--json", str(target),
+        ])
+        assert code == 0
+        assert self.digest(target) == (
+            "47021ffc418f0076daa8577eb54e0403e9abb8bb5108b4427216f27a997a648b"
+        )
+        capsys.readouterr()
 
 
 class TestParser:

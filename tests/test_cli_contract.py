@@ -233,3 +233,45 @@ def test_serve_check_exit_contract(tmp_path, monkeypatch, capsys):
     )
     assert main(["serve", "--demo"]) == 1
     capsys.readouterr()
+
+
+# Each case: a scenario command with one flag its config rejects.  A bad
+# flag is a usage error (exit 2), never a storm verdict (exit 0/1), and
+# the storm must not start.
+BAD_ARGUMENTS = {
+    "chaos": ["chaos", "--hours", "0"],
+    "chaos-throttle": ["chaos", "--quick", "--throttle", "-1"],
+    "chaos-kill-leader": ["chaos", "--kill-leader", "--replicas", "1"],
+    "chaos-bit-rot": ["chaos", "--bit-rot", "--hours", "-1"],
+    "ha": ["ha", "--replicas", "0"],
+    "scrub": ["scrub", "--scrub-interval", "0"],
+    "overload": ["overload", "--minutes", "-1"],
+    "fsck": ["fsck", "--hours", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS), ids=str)
+def test_bad_scenario_argument_is_a_usage_error(
+    name, tmp_path, monkeypatch, capsys
+):
+    import repro.experiments.bitrot as bitrot
+    import repro.experiments.chaos as chaos
+    import repro.experiments.overload as overload
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the storm ran despite a bad argument")
+
+    for module, run in ((chaos, "run_chaos"), (chaos, "run_leader_kill"),
+                        (bitrot, "run_bit_rot"), (overload, "run_overload"),
+                        (overload, "run_overload_pair")):
+        monkeypatch.setattr(module, run, refuse)
+    argv = BAD_ARGUMENTS[name]
+    if name != "fsck":
+        argv = argv + ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith(f"repro {argv[0]}: error: "), err
