@@ -183,14 +183,15 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--hours", type=float, default=2.0)
     chaos.add_argument(
-        "--profiles", nargs="+",
-        default=["crash", "partition", "flaky"],
+        "--profiles", nargs="+", default=None,
         choices=["crash", "gray", "partition", "flaky", "msgloss"],
-        help="fault profiles to arm",
+        help="fault profiles to arm (default: crash partition flaky; "
+             "not with --kill-leader or --bit-rot)",
     )
     chaos.add_argument(
-        "--throttle", type=_non_negative_int, default=8,
-        help="max concurrent re-replication transfers (0 = unlimited)",
+        "--throttle", type=_non_negative_int, default=None,
+        help="max concurrent re-replication transfers (0 = unlimited; "
+             "default 8; not with --kill-leader)",
     )
     chaos.add_argument(
         "--metrics-out", type=Path, default=None,
@@ -447,10 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         (ablation, _cmd_ablation), (scale, _cmd_scale),
         (sensitivity, _cmd_sensitivity), (metrics, _cmd_metrics),
         (report, _cmd_report), (traces, _cmd_traces), (serve, _cmd_serve),
-        (chaos, lambda args: _run_scenario(
-            args, _KILL_LEADER if args.kill_leader
-            else _BIT_ROT if args.bit_rot else _CHAOS,
-        )),
+        (chaos, _cmd_chaos),
         (scrub, lambda args: _run_scenario(args, _SCRUB)),
         (ha, lambda args: _run_scenario(args, _HA)),
         (overload, lambda args: _run_scenario(
@@ -755,6 +753,30 @@ def _fsck_run(args: argparse.Namespace, config: Any):
 
     result = _experiment("chaos").run_chaos(config)
     return [result], fsck.render_fsck(result.fsck), []
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """Pick the chaos variant; a flag it would ignore is a usage error."""
+    variant = ("--kill-leader" if args.kill_leader
+               else "--bit-rot" if args.bit_rot else None)
+    ignored = []
+    if variant is not None and args.profiles is not None:
+        ignored.append("--profiles")
+    if args.kill_leader and args.throttle is not None:
+        ignored.append("--throttle")
+    if ignored:
+        verb = "does" if len(ignored) == 1 else "do"
+        args.parser.error(
+            f"{' and '.join(ignored)} {verb} not apply to {variant}"
+        )
+    if args.profiles is None:
+        args.profiles = ["crash", "partition", "flaky"]
+    if args.throttle is None:
+        args.throttle = 8
+    return _run_scenario(
+        args, _KILL_LEADER if args.kill_leader
+        else _BIT_ROT if args.bit_rot else _CHAOS,
+    )
 
 
 def _chaos_config(args: argparse.Namespace) -> Any:

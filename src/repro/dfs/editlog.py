@@ -91,6 +91,7 @@ QUOTA_JOURNALED_MUTATORS: FrozenSet[str] = frozenset({
 EXEMPT_NAMENODE_METHODS: FrozenSet[str] = frozenset({
     # pure queries
     "audit",
+    "blocked_nodes",
     "can_store",
     "choose_read_replica",
     "cluster_saturation",
@@ -104,6 +105,8 @@ EXEMPT_NAMENODE_METHODS: FrozenSet[str] = frozenset({
     "list_files",
     "live_nodes",
     "node_load",
+    "rack_load",
+    "rack_targets",
     "replica_preference",
     "verified_locations",
     # soft state: block locations live on datanodes and are rebuilt

@@ -30,9 +30,11 @@ import logging
 import random
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -56,6 +58,7 @@ from repro.errors import (
     DfsError,
     FileExistsInDfsError,
     FileNotFoundInDfsError,
+    ReproError,
     SafeModeError,
 )
 from repro.faults.retry import RetryPolicy
@@ -122,6 +125,11 @@ _MIGRATION_RETARGETS = _REG.counter(
 _REPL_REQUEUED = _REG.counter(
     "repro_dfs_replications_requeued_total",
     "Replications pushed back onto the priority queue after retry exhaustion",
+)
+_COPIES_DISCARDED = _REG.counter(
+    "repro_dfs_replica_copies_discarded_total",
+    "Replica copies that did not land a replica, by outcome",
+    ["reason"],
 )
 _REPL_QUEUE_DEPTH = _REG.gauge(
     "repro_dfs_replication_queue_depth",
@@ -215,10 +223,13 @@ class Namenode:
         # instead of scanning every node.
         self._membership_epoch = 0
         self._decommissioning: Set[int] = set()
-        # Replica targets in (load, node_id) order; owns the load vector
-        # (see set_load_vector) and is patched through the datanode and
+        # Replica targets in (load, node_id) order, plus the per-rack
+        # views the placement policies read; owns the load vector (see
+        # set_load_vector) and is patched through the datanode and
         # lazy-ledger hooks installed below.
-        self._targets = TargetIndex(self.datanodes, self._accepts_replicas)
+        self._targets = TargetIndex(
+            self.datanodes, self._accepts_replicas, topology
+        )
         # Lazily deletable replicas: (block_id, node) pairs above target.
         # A full node with a lazy replica can still take a copy, so the
         # ledger re-keys a node in the target index when its first lazy
@@ -290,6 +301,8 @@ class Namenode:
         self.migration_rollbacks = 0
         self.migration_retargets = 0
         self.replications_requeued = 0
+        # Replica copies that ended without landing a replica, any reason.
+        self.copies_discarded = 0
         self.degraded_reads = 0
         # Background work held back by overload protection.
         self.replications_deferred = 0
@@ -620,8 +633,7 @@ class Namenode:
 
         Lazily deletable replicas count as reclaimable space.
         """
-        # _accepts_replicas plus the holds test, inlined: the placement
-        # policies call this once per machine per written block.
+        # _accepts_replicas plus the holds test, inlined.
         dn = self.datanodes[node]
         if not dn.alive or dn.holds(block_id) or node in self._decommissioning:
             return False
@@ -645,6 +657,35 @@ class Namenode:
         then ``vector[node] + disk_weight * used_blocks``.
         """
         return self._targets.load(node)
+
+    def rack_load(self, rack: int) -> float:
+        """Summed :meth:`node_load` of every machine in ``rack``.
+
+        Cached per rack and recomputed, never patched, after a change,
+        so it equals the sum a scan of the rack would give bit for bit.
+        """
+        return self._targets.rack_load(rack)
+
+    def rack_targets(self, rack: int) -> Iterator[int]:
+        """The nodes of ``rack`` that accept replicas, least loaded
+        first, ties to the lowest id.
+
+        A node in this order can store a block unless it holds it.
+        Callers must not mutate namenode state while iterating.
+        """
+        return self._targets.rack_nodes(rack)
+
+    def blocked_nodes(self, block_id: int) -> AbstractSet[int]:
+        """Nodes where :meth:`can_store` is false for ``block_id``.
+
+        The nodes that accept no replica, plus the block's holders as
+        the block map records them (on a namenode that passes
+        :meth:`audit`, the live nodes whose disk holds the block).
+        Usually empty for a new block.  Read-only.
+        """
+        rejecting = self._targets.rejecting()
+        holders = self.blockmap.locations_view(block_id)
+        return rejecting | holders if holders else rejecting
 
     def set_load_vector(
         self, vector: Optional[Sequence[float]], disk_weight: float = 0.0
@@ -712,23 +753,32 @@ class Namenode:
             raise DfsError("a file needs at least one block")
         replication = replication or self.default_replication
         rack_spread = rack_spread or min(self.default_rack_spread, replication)
-        block_ids = []
-        for _ in range(num_blocks):
-            meta = BlockMeta(
-                block_id=self._next_block_id,
-                file_id=self._next_file_id,
-                size=block_size,
-                replication_factor=replication,
-                rack_spread=min(rack_spread, replication),
-            )
-            self._next_block_id += 1
-            self.blockmap.register(meta)
-            targets = self.placement_policy.choose_targets(self, meta, writer)
-            previous: Optional[int] = None
-            for node in targets:
-                self._write_replica(meta, node, source=previous)
-                previous = node
-            block_ids.append(meta.block_id)
+        block_ids: List[int] = []
+        try:
+            for _ in range(num_blocks):
+                meta = BlockMeta(
+                    block_id=self._next_block_id,
+                    file_id=self._next_file_id,
+                    size=block_size,
+                    replication_factor=replication,
+                    rack_spread=min(rack_spread, replication),
+                )
+                self._next_block_id += 1
+                self.blockmap.register(meta)
+                block_ids.append(meta.block_id)
+                targets = self.placement_policy.choose_targets(
+                    self, meta, writer
+                )
+                previous: Optional[int] = None
+                for node in targets:
+                    self._write_replica(meta, node, source=previous)
+                    previous = node
+        except ReproError:
+            # A file is created whole or not at all: without this, the
+            # blocks placed so far would stay registered under a file id
+            # the next file takes.
+            self._drop_blocks(block_ids)
+            raise
         file_meta = FileMeta(
             file_id=self._next_file_id,
             path=path,
@@ -745,10 +795,11 @@ class Namenode:
         self._check_writable()
         meta = self.file(path)
         self.namespace.remove_file(path)
-        self._drop_file_blocks(meta)
+        self._drop_blocks(meta.block_ids)
+        del self._files_by_id[meta.file_id]
 
-    def _drop_file_blocks(self, meta: FileMeta) -> None:
-        for block_id in meta.block_ids:
+    def _drop_blocks(self, block_ids: Sequence[int]) -> None:
+        for block_id in block_ids:
             for node in self.blockmap.locations(block_id):
                 dn = self.datanodes[node]
                 # A dead node cannot serve the delete; its stale replica
@@ -758,7 +809,6 @@ class Namenode:
                 self._lazy.discard(block_id, node)
             self.integrity.clear_block(block_id)
             self.blockmap.unregister(block_id)
-        del self._files_by_id[meta.file_id]
 
     def mkdir(self, path: str) -> None:
         """Create a directory (with parents, like ``hdfs dfs -mkdir -p``)."""
@@ -785,7 +835,7 @@ class Namenode:
         """Recursively delete a directory; returns files removed."""
         removed = self.namespace.remove_directory(path)
         for file_id in removed:
-            self._drop_file_blocks(self._files_by_id[file_id])
+            self._drop_blocks(self._files_by_id.pop(file_id).block_ids)
         return len(removed)
 
     def file(self, path: str) -> FileMeta:
@@ -813,12 +863,17 @@ class Namenode:
         Within the rack-local and remote tiers, gray (slow) nodes are
         avoided when a healthy replica exists.
         """
-        live = self.live_nodes()
-        if not self.blockmap.live_locations(block_id, live):
+        live_holders = self.blockmap.live_locations(
+            block_id, self.live_nodes()
+        )
+        if not live_holders:
             raise DatanodeUnavailableError(
                 f"block {block_id} has no live replica"
             )
-        locations = self.verified_locations(block_id)
+        is_quarantined = self.integrity.is_quarantined
+        locations = [
+            n for n in live_holders if not is_quarantined(block_id, n)
+        ]
         if not locations:
             raise ChecksumError(
                 f"every live replica of block {block_id} is quarantined "
@@ -1064,6 +1119,10 @@ class Namenode:
             )
 
         def _finish_copy(outcome: str) -> None:
+            if outcome != "ok":
+                self.copies_discarded += 1
+                if _REG.enabled:
+                    _COPIES_DISCARDED.labels(reason=outcome).inc()
             if copy_span is not None:
                 copy_span.set(outcome=outcome)
                 _TRACER.finish(copy_span, end_sim=self.now)
@@ -1452,12 +1511,11 @@ class Namenode:
                 continue
             # The global pick may break the rack spread (the draining
             # node can be its rack's sole holder); retry within-rack.
-            rack = self.topology.rack_of[node]
-            rack_targets = [
-                m for m in self.topology.machines_in_rack(rack)
-                if m != node and self.can_store(m, block_id)
+            candidates = [
+                m for m in self.rack_targets(self.topology.rack_of[node])
+                if self.can_store(m, block_id)
             ]
-            for candidate in sorted(rack_targets, key=self.node_load):
+            for candidate in candidates:
                 if self.move_block(block_id, node, candidate):
                     started += 1
                     break
@@ -1631,7 +1689,8 @@ class Namenode:
 
         Verifies that the block map, the datanode disks, the lazy set
         and the namespace agree, and that the lazy ledger, the in-flight
-        index and the target index equal their from-scratch
+        index and the target index (with its cached rack sums, rack
+        orders and rejecting set) equal their from-scratch
         recomputation.  Used by the fuzz tests after every random
         operation batch.
         """

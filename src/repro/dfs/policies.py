@@ -14,13 +14,24 @@ Two policies ship with the simulator:
   within the chosen racks.
 
 Policies see the namenode through the narrow :class:`PlacementContext`
-protocol so they can be unit-tested against fakes.
+protocol so they can be unit-tested against fakes.  The namenode serves
+the per-rack questions from its target index
+(:class:`repro.dfs.targets.TargetIndex`), so placing a block costs the
+nodes it inspects, not one load or capacity probe per machine.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Protocol, runtime_checkable
+from collections import Counter
+from typing import (
+    AbstractSet,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
 from repro.dfs.block import BlockMeta
 from repro.errors import CapacityExceededError
@@ -46,6 +57,21 @@ class PlacementContext(Protocol):
         """The load metric the load-aware policy minimizes."""
         ...  # pragma: no cover - protocol definition
 
+    def rack_load(self, rack: int) -> float:
+        """``sum(node_load(n) for n in topology.machines_in_rack(rack))``,
+        bit for bit."""
+        ...  # pragma: no cover - protocol definition
+
+    def rack_targets(self, rack: int) -> Iterable[int]:
+        """Nodes of ``rack`` that could store some block, in
+        ``(node_load, node_id)`` order; ``can_store`` then fails only
+        for a node that holds the block."""
+        ...  # pragma: no cover - protocol definition
+
+    def blocked_nodes(self, block_id: int) -> AbstractSet[int]:
+        """The nodes where ``can_store(node, block_id)`` is false."""
+        ...  # pragma: no cover - protocol definition
+
 
 @runtime_checkable
 class BlockPlacementPolicy(Protocol):
@@ -59,14 +85,6 @@ class BlockPlacementPolicy(Protocol):
     ) -> List[int]:
         """Target datanodes for all ``replication_factor`` replicas."""
         ...  # pragma: no cover - protocol definition
-
-
-def _rack_load(context: PlacementContext, rack: int) -> float:
-    """Total node load of a rack under the context's load metric."""
-    return sum(
-        context.node_load(node)
-        for node in context.topology.machines_in_rack(rack)
-    )
 
 
 class DefaultHdfsPolicy:
@@ -87,8 +105,18 @@ class DefaultHdfsPolicy:
         meta: BlockMeta,
         writer: Optional[int] = None,
     ) -> List[int]:
-        """Random targets honouring the rack-spread requirement."""
+        """Random targets honouring the rack-spread requirement.
+
+        Every draw picks from the candidate list a scan with
+        ``can_store`` would build, in the same order, so the RNG walks
+        the same sequence; the lists come from
+        ``context.blocked_nodes`` instead of one probe per machine.
+        """
         topo = context.topology
+        block_id = meta.block_id
+        blocked = context.blocked_nodes(block_id)
+        # Racks with no node left to take the block.
+        blocked_in_rack = Counter(topo.rack_of[node] for node in blocked)
         chosen: List[int] = []
         chosen_racks: List[int] = []
 
@@ -96,20 +124,25 @@ class DefaultHdfsPolicy:
             return [
                 node
                 for node in topo.machines_in_rack(rack)
-                if node not in chosen and context.can_store(node, meta.block_id)
+                if node not in chosen and node not in blocked
             ]
 
+        def has_room(rack: int) -> bool:
+            # Only for racks outside chosen_racks, which hold no chosen
+            # node: every chosen node's rack joins chosen_racks.
+            return blocked_in_rack[rack] < len(topo.machines_in_rack(rack))
+
         first: Optional[int] = None
-        if writer is not None and context.can_store(writer, meta.block_id):
+        if writer is not None and context.can_store(writer, block_id):
             first = writer
         if first is None:
-            candidates = [
-                node for node in topo.machines
-                if context.can_store(node, meta.block_id)
-            ]
+            candidates = (
+                [node for node in topo.machines if node not in blocked]
+                if blocked else topo.machines
+            )
             if not candidates:
                 raise CapacityExceededError(
-                    f"no datanode can host block {meta.block_id}"
+                    f"no datanode can host block {block_id}"
                 )
             first = self._rng.choice(candidates)
         chosen.append(first)
@@ -119,11 +152,11 @@ class DefaultHdfsPolicy:
         while len(chosen_racks) < meta.rack_spread:
             options = [
                 rack for rack in topo.racks
-                if rack not in chosen_racks and feasible_in_rack(rack)
+                if rack not in chosen_racks and has_room(rack)
             ]
             if not options:
                 raise CapacityExceededError(
-                    f"cannot spread block {meta.block_id} over "
+                    f"cannot spread block {block_id} over "
                     f"{meta.rack_spread} racks"
                 )
             rack = self._rng.choice(options)
@@ -141,13 +174,12 @@ class DefaultHdfsPolicy:
             if not pool:
                 pool = [
                     node for node in topo.machines
-                    if node not in chosen
-                    and context.can_store(node, meta.block_id)
+                    if node not in chosen and node not in blocked
                 ]
             if not pool:
                 raise CapacityExceededError(
                     f"cluster cannot host {meta.replication_factor} replicas "
-                    f"of block {meta.block_id}"
+                    f"of block {block_id}"
                 )
             pick = self._rng.choice(pool)
             chosen.append(pick)
@@ -172,26 +204,25 @@ class LoadAwarePolicy:
     ) -> List[int]:
         """Greedy lowest-load targets honouring the rack spread."""
         topo = context.topology
+        block_id = meta.block_id
         chosen: List[int] = []
         chosen_racks: List[int] = []
 
         def best_in_rack(rack: int) -> Optional[int]:
-            candidates = [
-                node
-                for node in topo.machines_in_rack(rack)
-                if node not in chosen and context.can_store(node, meta.block_id)
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=context.node_load)
+            # The rack's order is by (load, id): its first free node is
+            # the scan's min by load, ties to the lowest id.
+            for node in context.rack_targets(rack):
+                if node not in chosen and context.can_store(node, block_id):
+                    return node
+            return None
 
         def racks_by_load(exclude: List[int]) -> List[int]:
             racks = [rack for rack in topo.racks if rack not in exclude]
-            racks.sort(key=lambda rack: _rack_load(context, rack))
+            racks.sort(key=context.rack_load)
             return racks
 
         first: Optional[int] = None
-        if writer is not None and context.can_store(writer, meta.block_id):
+        if writer is not None and context.can_store(writer, block_id):
             first = writer
         if first is None:
             for rack in racks_by_load([]):
@@ -200,7 +231,7 @@ class LoadAwarePolicy:
                     break
         if first is None:
             raise CapacityExceededError(
-                f"no datanode can host block {meta.block_id}"
+                f"no datanode can host block {block_id}"
             )
         chosen.append(first)
         chosen_racks.append(topo.rack_of[first])
@@ -217,7 +248,7 @@ class LoadAwarePolicy:
                 break
             if not placed:
                 raise CapacityExceededError(
-                    f"cannot spread block {meta.block_id} over "
+                    f"cannot spread block {block_id} over "
                     f"{meta.rack_spread} racks"
                 )
 
@@ -236,7 +267,7 @@ class LoadAwarePolicy:
             if not candidates:
                 raise CapacityExceededError(
                     f"cluster cannot host {meta.replication_factor} replicas "
-                    f"of block {meta.block_id}"
+                    f"of block {block_id}"
                 )
             chosen.append(min(candidates, key=context.node_load))
         return chosen

@@ -1,9 +1,10 @@
 """Indexes behind the namenode's replica-target selection.
 
-Re-replication, factor increases, migration retargets and decommission
-drains all ask one question: which node receives the next copy of this
-block?  Answering it by walking every live node, and by filtering every
-lazy and in-flight pair, makes one copy cost O(cluster).  The two
+Re-replication, factor increases, migration retargets, decommission
+drains and the placement of a new block all ask one question: which
+node receives the next copy of this block?  Answering it by walking
+every live node, and by filtering every lazy and in-flight pair, makes
+one copy cost O(cluster).  The two
 structures here keep the answer up to date instead:
 
 * :class:`PairIndex` — a set of ``(block_id, node)`` pairs indexed by
@@ -12,7 +13,7 @@ structures here keep the answer up to date instead:
   space) and the *in-flight index* (copies on their way to a target).
 * :class:`TargetIndex` — the nodes able to accept a replica, kept in
   ``(load, node_id)`` order, together with the load vector that defines
-  that order.
+  that order, and the per-rack views the placement policies read.
 
 Neither structure knows why its contents change; the namenode tells
 them (see the invalidation contract on :class:`TargetIndex`), and
@@ -39,6 +40,7 @@ from typing import (
 from repro.errors import DfsError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.topology import ClusterTopology
     from repro.dfs.datanode import Datanode
 
 __all__ = ["PairIndex", "TargetIndex"]
@@ -126,6 +128,26 @@ class PairIndex:
         )
 
 
+
+
+def _rekey(
+    order: List[Tuple[float, int]],
+    keys: Dict[int, Tuple[float, int]],
+    node: int,
+    new: Optional[Tuple[float, int]],
+) -> None:
+    """Move ``node`` to key ``new`` (``None``: out) in a sorted order."""
+    old = keys.get(node)
+    if new == old:
+        return
+    if old is not None:
+        del order[bisect_left(order, old)]
+        del keys[node]
+    if new is not None:
+        insort(order, new)
+        keys[node] = new
+
+
 class TargetIndex:
     """Nodes that can accept a replica, in ``(load, node_id)`` order.
 
@@ -135,24 +157,45 @@ class TargetIndex:
     (for the namenode: alive, not decommissioning, and either a free
     slot or a lazy replica to evict).
 
+    The placement policies read three per-rack views of the same state:
+    :meth:`rack_load` (a rack's summed load), :meth:`rack_nodes` (a
+    rack's accepting nodes in index order) and :meth:`rejecting` (the
+    nodes ``accepts`` turns down).  Each is built on its first read and
+    kept up to date until the next invalidation; while unbuilt, a patch
+    only marks the node's rack sum for recomputation.  A rack sum is
+    never patched by a delta: it is recomputed with the same expression
+    a scan uses, so it stays bit-identical to the scan's float sum.
+
     Invalidation contract — the owner must call :meth:`invalidate` when
     any node's liveness flips, and :meth:`patch` whenever one node's
     disk usage, decommission mark or lazy-replica presence changes.
-    :meth:`set_vector` invalidates by itself.  An invalidated index
-    rebuilds on its next read, so a burst of membership changes costs
-    one sort.
+    :meth:`set_vector` invalidates the load-keyed structures by itself.
+    An invalidated index rebuilds on its next read, so a burst of
+    membership changes costs one sort.
     """
 
     def __init__(
-        self, datanodes: Sequence["Datanode"], accepts: Callable[[int], bool]
+        self,
+        datanodes: Sequence["Datanode"],
+        accepts: Callable[[int], bool],
+        topology: "ClusterTopology",
     ) -> None:
         self.datanodes = datanodes
         self._accepts = accepts
+        self._topology = topology
         self._vector: Optional[List[float]] = None
         self._disk_weight = 0.0
         self._order: List[Tuple[float, int]] = []
         self._keys: Dict[int, Tuple[float, int]] = {}
         self._stale = True
+        # Per-rack views; None marks a rack sum to recompute or a rack
+        # order not built yet.  _rack_keys holds the key of every node
+        # in a built rack order.
+        self._rack_sums: List[Optional[float]] = []
+        self._rack_orders: List[Optional[List[Tuple[float, int]]]] = []
+        self._rack_keys: Dict[int, Tuple[float, int]] = {}
+        self._drop_rack_views()
+        self._rejecting: Optional[Set[int]] = None
 
     def set_vector(
         self, vector: Optional[Sequence[float]], disk_weight: float = 0.0
@@ -166,6 +209,8 @@ class TargetIndex:
         self._vector = None if vector is None else [float(v) for v in vector]
         self._disk_weight = float(disk_weight)
         self._stale = True
+        # Membership does not depend on load, so the rejecting set stays.
+        self._drop_rack_views()
 
     def load(self, node: int) -> float:
         """The load of ``node`` under the current vector."""
@@ -176,24 +221,36 @@ class TargetIndex:
         return vector[node] + self._disk_weight * used
 
     def invalidate(self) -> None:
-        """Drop the order; the next read rebuilds it."""
+        """Drop every order and view; the next read rebuilds it."""
         self._stale = True
+        self._drop_rack_views()
+        self._rejecting = None
+
+    def _drop_rack_views(self) -> None:
+        num_racks = self._topology.num_racks
+        self._rack_sums = [None] * num_racks
+        self._rack_orders = [None] * num_racks
+        self._rack_keys = {}
 
     def patch(self, node: int) -> None:
         """Re-key one node after its load or membership changed."""
-        if self._stale:
+        rack = self._topology.rack_of[node]
+        self._rack_sums[rack] = None
+        rack_order = self._rack_orders[rack]
+        rejecting = self._rejecting
+        if self._stale and rack_order is None and rejecting is None:
             return
-        old = self._keys.get(node)
-        new = (self.load(node), node) if self._accepts(node) else None
-        if new == old:
-            return
-        order = self._order
-        if old is not None:
-            del order[bisect_left(order, old)]
-            del self._keys[node]
-        if new is not None:
-            insort(order, new)
-            self._keys[node] = new
+        accepting = self._accepts(node)
+        key = (self.load(node), node) if accepting else None
+        if not self._stale:
+            _rekey(self._order, self._keys, node, key)
+        if rack_order is not None:
+            _rekey(rack_order, self._rack_keys, node, key)
+        if rejecting is not None:
+            if accepting:
+                rejecting.discard(node)
+            else:
+                rejecting.add(node)
 
     def nodes(self) -> Iterator[int]:
         """Accepting nodes, least loaded first, ties to the lowest id.
@@ -211,16 +268,76 @@ class TargetIndex:
         for _load, node in self._order:
             yield node
 
+    def rack_load(self, rack: int) -> float:
+        """Summed load of every machine in ``rack``, live or not."""
+        total = self._rack_sums[rack]
+        if total is None:
+            total = self._scan_rack_load(rack)
+            self._rack_sums[rack] = total
+        return total
+
+    def _scan_rack_load(self, rack: int) -> float:
+        load = self.load
+        return sum(load(node) for node in self._topology.machines_in_rack(rack))
+
+    def _scan_rack_order(self, rack: int) -> List[Tuple[float, int]]:
+        accepts, load = self._accepts, self.load
+        return sorted(
+            (load(node), node)
+            for node in self._topology.machines_in_rack(rack)
+            if accepts(node)
+        )
+
+    def rack_nodes(self, rack: int) -> Iterator[int]:
+        """The accepting nodes of ``rack``, in :meth:`nodes` order.
+
+        Callers must not mutate namenode state while iterating.
+        """
+        order = self._rack_orders[rack]
+        if order is None:
+            order = self._scan_rack_order(rack)
+            self._rack_orders[rack] = order
+            self._rack_keys.update((key[1], key) for key in order)
+        for _load, node in order:
+            yield node
+
+    def rejecting(self) -> AbstractSet[int]:
+        """Nodes that cannot accept any replica (read-only view)."""
+        if self._rejecting is None:
+            accepts = self._accepts
+            self._rejecting = {
+                node for node in range(len(self.datanodes))
+                if not accepts(node)
+            }
+        return self._rejecting
+
     def audit(self) -> None:
-        """Assert a live order equals one recomputed from scratch."""
-        if self._stale:
-            return
-        expected = sorted(
-            (self.load(node), node)
-            for node in range(len(self.datanodes))
-            if self._accepts(node)
-        )
-        assert self._order == expected, "target index: order drift"
-        assert sorted(self._keys.values()) == expected, (
-            "target index: key drift"
-        )
+        """Assert every built order and view equals a fresh scan."""
+        if not self._stale:
+            expected = sorted(
+                (self.load(node), node)
+                for node in range(len(self.datanodes))
+                if self._accepts(node)
+            )
+            assert self._order == expected, "target index: order drift"
+            assert sorted(self._keys.values()) == expected, (
+                "target index: key drift"
+            )
+        for rack, total in enumerate(self._rack_sums):
+            if total is not None:
+                assert total == self._scan_rack_load(rack), (
+                    f"target index: rack {rack} load drift"
+                )
+        rack_keys: Dict[int, Tuple[float, int]] = {}
+        for rack, order in enumerate(self._rack_orders):
+            if order is None:
+                continue
+            expected = self._scan_rack_order(rack)
+            assert order == expected, f"target index: rack {rack} order drift"
+            rack_keys.update((key[1], key) for key in expected)
+        assert self._rack_keys == rack_keys, "target index: rack key drift"
+        if self._rejecting is not None:
+            assert self._rejecting == {
+                node for node in range(len(self.datanodes))
+                if not self._accepts(node)
+            }, "target index: rejecting-set drift"

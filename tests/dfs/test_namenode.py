@@ -10,6 +10,7 @@ from repro.dfs.namenode import Namenode
 from repro.dfs.policies import DefaultHdfsPolicy, LoadAwarePolicy
 from repro.dfs.replication import TransferService
 from repro.errors import (
+    CapacityExceededError,
     DatanodeUnavailableError,
     DfsError,
     FileExistsInDfsError,
@@ -46,6 +47,18 @@ class TestNamespace:
             nn.create_file("/a", num_blocks=1)
         with pytest.raises(DfsError):
             nn.create_file("/b", num_blocks=0)
+
+    def test_failed_create_leaves_no_blocks_behind(self):
+        nn = make_namenode(num_racks=2, per_rack=1, capacity=1)
+        # The first block fills both disks; the second cannot be placed.
+        with pytest.raises(CapacityExceededError):
+            nn.create_file("/big", num_blocks=2, replication=2)
+        assert list(nn.blockmap.block_ids()) == []
+        assert all(dn.used_blocks == 0 for dn in nn.datanodes)
+        nn.audit()
+        meta = nn.create_file("/next", num_blocks=1, replication=2)
+        assert nn.blockmap.meta(meta.block_ids[0]).file_id == meta.file_id
+        nn.audit()
 
     def test_delete_file_frees_space(self):
         nn = make_namenode()

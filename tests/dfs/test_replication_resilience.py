@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.cluster.topology import ClusterTopology
 from repro.dfs.client import DfsClient
 from repro.dfs.heartbeat import HeartbeatService
@@ -33,6 +34,42 @@ def build(seed=0, racks=3, per_rack=3, capacity=60, sim=None,
         replication_throttle=throttle,
     )
     return namenode, DfsClient(namenode)
+
+
+@pytest.fixture
+def registry():
+    obs.enable()
+    obs.get_registry().reset()
+    yield obs.get_registry()
+    obs.get_registry().reset()
+    obs.disable()
+
+
+class TestDiscardedCopies:
+    def test_two_copies_into_one_free_slot_discard_one(self, registry):
+        sim = Simulation()
+        namenode, _client = build(racks=2, per_rack=2, capacity=3, sim=sim)
+        target = 3
+        for index in range(2):  # leaves the target one free slot
+            namenode.create_file(f"/fill{index}", 1, writer=target,
+                                 replication=1, rack_spread=1)
+        blocks = [
+            namenode.create_file(f"/b{writer}", 1, writer=writer,
+                                 replication=1, rack_spread=1).block_ids[0]
+            for writer in (0, 1)
+        ]
+        assert namenode.datanodes[target].free_blocks == 1
+        for block in blocks:
+            assert namenode.replicate_block(block, target=target)
+        sim.run()
+        # One copy took the slot; the other landed on a full node, was
+        # discarded and retried elsewhere.
+        assert namenode.copies_discarded == 1
+        discarded = registry.get("repro_dfs_replica_copies_discarded_total")
+        assert discarded.labels(reason="target_full").value == 1
+        assert namenode.replications_completed == 2
+        assert sum(namenode.datanodes[target].holds(b) for b in blocks) == 1
+        namenode.audit()
 
 
 class TestRetryOnAlternateSource:

@@ -150,6 +150,27 @@ class TestChaosCommand:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "chaos_kill_leader.txt").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kill-leader", "--throttle", "1"],
+         "--throttle does not apply to --kill-leader"),
+        (["--kill-leader", "--profiles", "gray"],
+         "--profiles does not apply to --kill-leader"),
+        (["--kill-leader", "--throttle", "1", "--profiles", "gray"],
+         "--profiles and --throttle do not apply to --kill-leader"),
+        (["--bit-rot", "--profiles", "gray", "msgloss"],
+         "--profiles does not apply to --bit-rot"),
+    ])
+    def test_variant_rejects_flags_it_ignores(
+        self, tmp_path, capsys, flags, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--quick", "--out", str(tmp_path)] + flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro chaos")
+        assert message in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("throttle, expected", [
         ("3", 3), ("0", None),
     ])
