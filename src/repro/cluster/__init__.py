@@ -1,4 +1,4 @@
-"""Cluster substrate: topology, machine state and failure modelling."""
+"""Cluster substrate: topology and machine state."""
 
 from repro.cluster.topology import ClusterTopology
 

@@ -7,7 +7,7 @@ This is the substrate Aurora (:mod:`repro.aurora`) plugs into.
 
 from repro.dfs.balancer import Balancer, BalancerReport
 from repro.dfs.block import DEFAULT_MAX_BLOCK_SIZE, BlockMeta, FileMeta
-from repro.dfs.blockmap import BlockMap, ShardedBlockMap
+from repro.dfs.blockmap import BlockMap
 from repro.dfs.client import DfsClient, Locality, ReadResult
 from repro.dfs.datanode import Datanode
 from repro.dfs.editlog import (
@@ -51,7 +51,6 @@ __all__ = [
     "BlockMeta",
     "FileMeta",
     "BlockMap",
-    "ShardedBlockMap",
     "DfsClient",
     "Locality",
     "ReadResult",

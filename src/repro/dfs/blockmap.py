@@ -10,29 +10,13 @@ index with rack-spread queries.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from repro.cluster.topology import ClusterTopology
 from repro.dfs.block import BlockMeta
 from repro.errors import BlockNotFoundError, DfsError
-from repro.obs.registry import get_registry
 
-__all__ = ["BlockMap", "ShardedBlockMap"]
-
-_REG = get_registry()
-_SHARD_COUNT = _REG.gauge(
-    "repro_dfs_blockmap_shards",
-    "Current shard count of the sharded block map",
-)
-_SHARD_BLOCKS_MAX = _REG.gauge(
-    "repro_dfs_blockmap_shard_blocks_max",
-    "Blocks in the fullest shard of the sharded block map",
-)
-_SHARD_BLOCKS_TOTAL = _REG.gauge(
-    "repro_dfs_blockmap_shard_blocks_total",
-    "Total blocks registered across all block-map shards",
-)
+__all__ = ["BlockMap"]
 
 
 class BlockMap:
@@ -192,184 +176,5 @@ class BlockMap:
     def _locations_for(self, block_id: int) -> Set[int]:
         try:
             return self._locations[block_id]
-        except KeyError:
-            raise BlockNotFoundError(f"unknown block {block_id}") from None
-
-
-class ShardedBlockMap(BlockMap):
-    """A :class:`BlockMap` whose block indexes are hash-sharded.
-
-    At 10k machines a cluster holds millions of block records; a single
-    Python dict of that size is one giant allocation whose resize pauses
-    and cache behaviour degrade the namenode's hot paths.  The sharded
-    map spreads the ``block -> meta`` and ``block -> locations`` indexes
-    over ``block_id % num_shards`` dictionaries so no single dict holds
-    the whole cluster's mapping, and **doubles** the shard count
-    (rehashing every record) whenever the mean shard population exceeds
-    ``max_blocks_per_shard`` — growth cost stays amortized O(1) per
-    registration, like a hash table's.
-
-    Behavioural contract (pinned by ``tests/dfs/test_blockmap_sharded.py``):
-
-    * the public API is exactly :class:`BlockMap`'s;
-    * iteration (:meth:`block_ids`) and the health queries return block
-      ids in **ascending id order**, independent of the shard count or
-      registration order — so fsck reports and recovery scheduling are
-      byte-identical across shard configurations;
-    * per-machine indexes (``blocks_on``/``used_capacity``) and the
-      dirty-set protocol are inherited unchanged — they are keyed by
-      machine, not block, and are already flat.
-
-    The shard count and the fullest/total shard populations are
-    published as gauges when metrics are enabled.
-    """
-
-    #: Default shard-growth trigger: mean blocks per shard beyond which
-    #: the shard count doubles.
-    DEFAULT_MAX_BLOCKS_PER_SHARD = 8192
-
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        num_shards: int = 16,
-        max_blocks_per_shard: int = DEFAULT_MAX_BLOCKS_PER_SHARD,
-    ) -> None:
-        if num_shards < 1:
-            raise DfsError("num_shards must be >= 1")
-        if max_blocks_per_shard < 1:
-            raise DfsError("max_blocks_per_shard must be >= 1")
-        super().__init__(topology)
-        # The parent's flat indexes stay empty; every block-keyed path
-        # is overridden to hit the shards.
-        self._num_shards = num_shards
-        self._max_blocks_per_shard = max_blocks_per_shard
-        self._meta_shards: List[Dict[int, BlockMeta]] = [
-            {} for _ in range(num_shards)
-        ]
-        self._loc_shards: List[Dict[int, Set[int]]] = [
-            {} for _ in range(num_shards)
-        ]
-        self._total_blocks = 0
-        self._publish_shard_metrics()
-
-    # -- sharding internals --------------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        """Current shard count (grows by doubling)."""
-        return self._num_shards
-
-    def shard_sizes(self) -> List[int]:
-        """Blocks registered per shard, in shard order."""
-        return [len(shard) for shard in self._meta_shards]
-
-    def _publish_shard_metrics(self) -> None:
-        if not _REG.enabled:
-            return
-        _SHARD_COUNT.set(self._num_shards)
-        _SHARD_BLOCKS_MAX.set(
-            max(len(shard) for shard in self._meta_shards)
-        )
-        _SHARD_BLOCKS_TOTAL.set(self._total_blocks)
-
-    def _maybe_grow(self) -> None:
-        if self._total_blocks <= self._max_blocks_per_shard * self._num_shards:
-            return
-        new_count = self._num_shards * 2
-        meta_shards: List[Dict[int, BlockMeta]] = [{} for _ in range(new_count)]
-        loc_shards: List[Dict[int, Set[int]]] = [{} for _ in range(new_count)]
-        for shard in self._meta_shards:
-            for block_id, meta in shard.items():
-                meta_shards[block_id % new_count][block_id] = meta
-        for shard in self._loc_shards:
-            for block_id, locations in shard.items():
-                loc_shards[block_id % new_count][block_id] = locations
-        self._meta_shards = meta_shards
-        self._loc_shards = loc_shards
-        self._num_shards = new_count
-
-    # -- registration --------------------------------------------------------
-
-    def register(self, meta: BlockMeta) -> None:
-        shard = meta.block_id % self._num_shards
-        if meta.block_id in self._meta_shards[shard]:
-            raise DfsError(f"block {meta.block_id} already registered")
-        self._meta_shards[shard][meta.block_id] = meta
-        self._loc_shards[shard][meta.block_id] = set()
-        self._total_blocks += 1
-        self._dirty.add(meta.block_id)
-        self._maybe_grow()
-        self._publish_shard_metrics()
-
-    def unregister(self, block_id: int) -> None:
-        shard = block_id % self._num_shards
-        if block_id not in self._meta_shards[shard]:
-            raise BlockNotFoundError(f"unknown block {block_id}")
-        for node in self._loc_shards[shard].pop(block_id):
-            self._stored[node].discard(block_id)
-        del self._meta_shards[shard][block_id]
-        self._total_blocks -= 1
-        self._dirty.add(block_id)
-        self._publish_shard_metrics()
-
-    def meta(self, block_id: int) -> BlockMeta:
-        try:
-            return self._meta_shards[block_id % self._num_shards][block_id]
-        except KeyError:
-            raise BlockNotFoundError(f"unknown block {block_id}") from None
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self._meta_shards[block_id % self._num_shards]
-
-    def block_ids(self) -> Iterator[int]:
-        """All block ids, ascending — identical for every shard count."""
-        return heapq.merge(*(sorted(shard) for shard in self._meta_shards))
-
-    @property
-    def num_blocks(self) -> int:
-        return self._total_blocks
-
-    # -- health queries ------------------------------------------------------
-
-    def under_replicated(self, live: Set[int]) -> List[int]:
-        result = [
-            block_id
-            for meta_shard, loc_shard in zip(
-                self._meta_shards, self._loc_shards
-            )
-            for block_id, meta in meta_shard.items()
-            if len(loc_shard[block_id] & live) < meta.replication_factor
-        ]
-        result.sort()
-        return result
-
-    def under_spread(self, live: Set[int]) -> List[int]:
-        rack_of = self.topology.rack_of
-        result = []
-        for meta_shard, loc_shard in zip(self._meta_shards, self._loc_shards):
-            for block_id, meta in meta_shard.items():
-                live_racks = {
-                    rack_of[node] for node in loc_shard[block_id] & live
-                }
-                if len(live_racks) < meta.rack_spread:
-                    result.append(block_id)
-        result.sort()
-        return result
-
-    def over_replicated(self) -> List[int]:
-        result = [
-            block_id
-            for meta_shard, loc_shard in zip(
-                self._meta_shards, self._loc_shards
-            )
-            for block_id, meta in meta_shard.items()
-            if len(loc_shard[block_id]) > meta.replication_factor
-        ]
-        result.sort()
-        return result
-
-    def _locations_for(self, block_id: int) -> Set[int]:
-        try:
-            return self._loc_shards[block_id % self._num_shards][block_id]
         except KeyError:
             raise BlockNotFoundError(f"unknown block {block_id}") from None

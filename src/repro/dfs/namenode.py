@@ -44,7 +44,7 @@ from typing import (
 
 from repro.cluster.topology import ClusterTopology
 from repro.dfs.block import DEFAULT_MAX_BLOCK_SIZE, BlockMeta, FileMeta
-from repro.dfs.blockmap import BlockMap, ShardedBlockMap
+from repro.dfs.blockmap import BlockMap
 from repro.dfs.datanode import Datanode
 from repro.dfs.integrity import CorruptionLedger
 from repro.dfs.namespace import NamespaceTree
@@ -181,14 +181,11 @@ class Namenode:
         rng: Optional[random.Random] = None,
         retry_policy: Optional[RetryPolicy] = None,
         replication_throttle: Optional[int] = None,
-        blockmap_shards: Optional[int] = None,
     ) -> None:
         if default_rack_spread > topology.num_racks:
             default_rack_spread = topology.num_racks
         if replication_throttle is not None and replication_throttle < 1:
             raise DfsError("replication_throttle must be >= 1")
-        if blockmap_shards is not None and blockmap_shards < 1:
-            raise DfsError("blockmap_shards must be >= 1")
         self.topology = topology
         self.sim = sim
         self.placement_policy = placement_policy or DefaultHdfsPolicy()
@@ -204,14 +201,7 @@ class Namenode:
         self.replication_throttle = replication_throttle
         self.default_replication = default_replication
         self.default_rack_spread = default_rack_spread
-        # ``blockmap_shards`` selects the sharded block map (hash-sharded
-        # block indexes, doubling growth) sized for 10k-machine clusters;
-        # the default flat map is unchanged for small simulations.
-        self.blockmap = (
-            BlockMap(topology)
-            if blockmap_shards is None
-            else ShardedBlockMap(topology, num_shards=blockmap_shards)
-        )
+        self.blockmap = BlockMap(topology)
         self.datanodes: List[Datanode] = [
             Datanode(node, topology.capacity_of(node)) for node in topology.machines
         ]

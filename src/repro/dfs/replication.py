@@ -26,14 +26,13 @@ and then fires ``on_failure`` instead of ``on_complete`` — the caller
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.topology import ClusterTopology
 from repro.errors import DfsError
 from repro.obs.registry import get_registry
 from repro.obs.tracer import TraceContext, get_tracer
 from repro.simulation.engine import Simulation
-from repro.simulation.metrics import Distribution
 
 __all__ = ["TransferService", "GIGABIT_PER_SECOND"]
 
@@ -85,7 +84,8 @@ class TransferService:
         self.jitter = jitter
         self._rng = rng or random.Random(0)
         self._active: Dict[int, int] = {}
-        self.durations = Distribution()
+        # Seconds each completed transfer took, in completion order.
+        self.durations: List[float] = []
         self.bytes_transferred = 0
         # Traffic-class accounting: how many bytes each kind of transfer
         # ("write" pipelines, "replication" repair, "migration" moves)
@@ -203,7 +203,7 @@ class TransferService:
                     self.sim.now + duration if self.sim is not None else None
                 ),
             )
-        self.durations.record(duration)
+        self.durations.append(duration)
         self.bytes_transferred += size
         self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
         if _REG.enabled:

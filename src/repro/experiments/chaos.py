@@ -63,15 +63,6 @@ __all__ = ["ChaosConfig", "ChaosResult", "run_chaos", "render_chaos",
 
 _LOG = logging.getLogger(__name__)
 
-_REG = get_registry()
-_HA_OPS_SERVED = _REG.counter(
-    "repro_ha_client_ops_served_total",
-    "Client metadata writes and block reads served by the HA plane",
-)
-_HA_OPS_FAILED = _REG.counter(
-    "repro_ha_client_ops_failed_total",
-    "Client operations rejected or failed during a metadata-plane outage",
-)
 
 
 @dataclass(frozen=True)
@@ -472,6 +463,16 @@ def run_leader_kill(
     :func:`~repro.dfs.fsck.run_fsck` is handed every path the client
     saw acknowledged and reports any that vanished as metadata loss.
     """
+    # Registered here, not at import, so only runs of this storm list them.
+    registry = get_registry()
+    ops_served = registry.counter(
+        "repro_ha_client_ops_served_total",
+        "Client metadata writes and block reads served by the HA plane",
+    )
+    ops_failed = registry.counter(
+        "repro_ha_client_ops_failed_total",
+        "Client operations rejected or failed during a metadata-plane outage",
+    )
     scenario = Scenario(config, telemetry, default_ha_slos)
     sim = scenario.sim
     cluster = HaCluster(sim, config.ha_config(), scenario.make_namenode)
@@ -515,12 +516,12 @@ def run_leader_kill(
             # Fenced, in safe mode or leaderless: the op is the outage's
             # cost; the path was never acknowledged so fsck won't expect it.
             result.write_ops_failed += 1
-            _HA_OPS_FAILED.inc()
+            ops_failed.inc()
         else:
             result.write_ops_served += 1
             acknowledged.append(path)
             blocks.extend(meta.block_ids)
-            _HA_OPS_SERVED.inc()
+            ops_served.inc()
 
     def read_tick() -> None:
         for _ in range(config.reads_per_tick):
@@ -529,10 +530,10 @@ def run_leader_kill(
                 client.read_block(block, reader)
             except (DatanodeUnavailableError, DfsError):
                 result.read_ops_failed += 1
-                _HA_OPS_FAILED.inc()
+                ops_failed.inc()
             else:
                 result.read_ops_served += 1
-                _HA_OPS_SERVED.inc()
+                ops_served.inc()
 
     def aurora_tick() -> None:
         try:

@@ -312,14 +312,14 @@ def run_experiment(
         epsilon=config.epsilon,
         horizon_hours=horizon_hours,
         num_machines=config.cluster.num_machines,
-        local_tasks=int(scheduler.metrics.counters.get("local_tasks")),
-        remote_tasks=int(scheduler.metrics.counters.get("remote_tasks")),
+        local_tasks=scheduler.local_tasks,
+        remote_tasks=scheduler.remote_tasks,
         machine_task_loads=scheduler.tasks_per_machine(),
         moves_completed=namenode.moves_completed - setup_moves,
         replications_completed=(
             namenode.replications_completed - setup_replications
         ),
-        movement_durations=transfers.durations.samples[setup_durations:],
+        movement_durations=transfers.durations[setup_durations:],
         job_completions={
             job.job_id: job.completion_time
             for job in scheduler.completed_jobs

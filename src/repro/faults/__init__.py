@@ -1,9 +1,8 @@
 """Fault injection and retry primitives.
 
 The paper's premise is that placement must survive node and ToR-switch
-failures, but scheduled binary outages (``repro.cluster.failures``) only
-exercise the *steady-state* half of that claim.  This package supplies
-the recovery-dynamics half:
+failures.  This package supplies the outages and the recovery dynamics
+around them:
 
 * :mod:`repro.faults.retry` — a reusable :class:`RetryPolicy`
   (exponential backoff + jitter, deadline, max attempts) shared by the
@@ -11,7 +10,9 @@ the recovery-dynamics half:
   needs bounded, deterministic persistence;
 * :mod:`repro.faults.injector` — a composable :class:`FaultInjector`
   that arms crash, gray/slow-node, rack-partition, flaky-transfer and
-  heartbeat message-loss profiles on a live simulation from one seed.
+  heartbeat message-loss profiles on a live simulation from one seed;
+  its ``plan()`` is also the seeded outage schedule (exponential MTBF,
+  fixed repair time) for callers that replay it by hand.
 
 Everything is driven by injected :class:`random.Random` instances so a
 chaos run replays identically for a given seed.

@@ -1,12 +1,12 @@
 """Composable fault injector driven by deterministic seeded schedules.
 
-Where :mod:`repro.cluster.failures` produces *schedules* for callers to
-replay by hand, the injector arms faults directly on a live simulation:
-crashes and partitions flip datanode liveness (silently — detection is
-the heartbeat service's job), gray profiles degrade a node's service
-rate without killing it, flaky-transfer profiles abort transfers
-mid-flight, and message-loss profiles drop heartbeats so the namenode
-can falsely suspect a healthy node.
+:meth:`FaultInjector.plan` is a seeded schedule a caller may replay by
+hand; :meth:`FaultInjector.install` arms the faults directly on a live
+simulation: crashes and partitions flip datanode liveness (silently —
+detection is the heartbeat service's job), gray profiles degrade a
+node's service rate without killing it, flaky-transfer profiles abort
+transfers mid-flight, and message-loss profiles drop heartbeats so the
+namenode can falsely suspect a healthy node.
 
 Every profile owns an isolated :class:`random.Random` derived from the
 injector seed, so adding or removing one profile never perturbs the

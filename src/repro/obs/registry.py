@@ -1,10 +1,9 @@
 """Labeled metrics registry: counters, gauges and histograms.
 
-The production-facing counterpart of :mod:`repro.simulation.metrics`.
-Where the simulation collectors hold unlabeled in-sim samples for one
-experiment, this registry follows the Prometheus data model so every
-layer of the stack can emit named, labeled series through one process
-global:
+The one metrics system of the stack.  It follows the Prometheus data
+model so every layer can emit named, labeled series through one process
+global (per-run figures such as task counts and movement durations are
+plain attributes of the component that produces them):
 
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — last-write-wins instantaneous values;
@@ -120,9 +119,11 @@ class _MetricBase:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Zero this metric (and every labeled child)."""
-        for _, leaf in self._series():
-            leaf._reset_values()
+        """Zero this metric; a labeled metric drops every child series."""
+        if self.labelnames:
+            self._children.clear()
+        else:
+            self._reset_values()
 
 
 class Counter(_MetricBase):
@@ -196,8 +197,7 @@ class Histogram(_MetricBase):
     Buckets are upper bounds; an implicit ``+Inf`` bucket always exists.
     ``percentile`` estimates quantiles by linear interpolation inside the
     winning bucket, clamped to the observed min/max so it stays
-    comparable to :meth:`repro.simulation.metrics.Distribution.percentile`
-    up to one bucket width.
+    within one bucket width of the exact sample percentile.
     """
 
     kind = "histogram"
@@ -437,7 +437,11 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Zero every series; registrations (and handles) survive."""
+        """Zero every series and drop labeled children.
+
+        Registrations and unlabeled handles survive; a snapshot taken
+        after a reset lists only the labeled series created since.
+        """
         with self._lock:
             for metric in self._metrics.values():
                 metric.reset()

@@ -34,7 +34,6 @@ from repro.scheduler.delay import NoDelayPolicy, SchedulingDelayPolicy
 from repro.scheduler.job import Job, MapTask, TaskLocality, TaskState
 from repro.scheduler.runtime import TaskRuntimeModel
 from repro.simulation.engine import Simulation
-from repro.simulation.metrics import MetricsRecorder
 
 __all__ = ["QueueConfig", "MapReduceScheduler", "TaskAttempt"]
 
@@ -111,7 +110,6 @@ class MapReduceScheduler:
         slots_per_machine: int = 14,
         runtime: Optional[TaskRuntimeModel] = None,
         delay_policy: Optional[SchedulingDelayPolicy] = None,
-        metrics: Optional[MetricsRecorder] = None,
         queues: Optional[List[QueueConfig]] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -121,7 +119,6 @@ class MapReduceScheduler:
         self.namenode = namenode
         self.runtime = runtime or TaskRuntimeModel()
         self.delay_policy = delay_policy or NoDelayPolicy()
-        self.metrics = metrics or MetricsRecorder()
         self._rng = rng or random.Random(0)
         self.machines: List[MachineState] = [
             MachineState(machine_id=m, task_slots=slots_per_machine)
@@ -137,6 +134,9 @@ class MapReduceScheduler:
         self._attempts: Dict[tuple, List["TaskAttempt"]] = {}
         self.jobs_submitted = 0
         self.jobs_completed = 0
+        # Primary launches by the paper's locality split (Fig. 3a).
+        self.local_tasks = 0
+        self.remote_tasks = 0
         self.speculative_launches = 0
         self.speculative_wins = 0
         self.completed_jobs: List[Job] = []
@@ -375,11 +375,9 @@ class MapReduceScheduler:
             queue = self._queues[self._job_queue[job.job_id]]
             queue.running_tasks += 1
             if locality.is_remote:
-                self.metrics.counters.add("remote_tasks")
-                self.metrics.rate("remote_tasks").record(self.sim.now)
+                self.remote_tasks += 1
             else:
-                self.metrics.counters.add("local_tasks")
-                self.metrics.rate("local_tasks").record(self.sim.now)
+                self.local_tasks += 1
             if _REG.enabled:
                 _TASKS.labels(locality=locality.value).inc()
                 _TASK_WAIT.observe(self.sim.now - job.submit_time)
@@ -441,9 +439,6 @@ class MapReduceScheduler:
             del self._job_queue[job.job_id]
             self.jobs_completed += 1
             self.completed_jobs.append(job)
-            self.metrics.distribution("job_completion").record(
-                job.completion_time
-            )
             if _REG.enabled:
                 _JOB_COMPLETION.observe(job.completion_time)
             _LOG.debug(
@@ -467,12 +462,10 @@ class MapReduceScheduler:
 
     def remote_fraction(self) -> float:
         """Fraction of launched tasks the paper counts as remote."""
-        remote = self.metrics.counters.get("remote_tasks")
-        local = self.metrics.counters.get("local_tasks")
-        total = remote + local
+        total = self.remote_tasks + self.local_tasks
         if total == 0:
             return 0.0
-        return remote / total
+        return self.remote_tasks / total
 
     def pending_jobs(self) -> int:
         """Jobs still holding unfinished tasks."""

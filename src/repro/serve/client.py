@@ -111,7 +111,8 @@ class ServeClient:
         self.breakers = breakers
         self.timeout = timeout
         self.max_redirects = max_redirects
-        # Mirrors of the in-process client's counters.
+        # Mirrors of the in-process client's counters: failovers and
+        # sheds per failed attempt, errors per exhausted read.
         self.read_failovers = 0
         self.read_errors = 0
         self.reads_shed = 0
@@ -254,7 +255,6 @@ class ServeClient:
                     result.failovers = walk.failures
                     result.attempts = walk.failures + 1
                     result.backoff = walk.waited
-                    self.read_failovers += walk.failures
                     return result
             if not made_progress or not policy.admits(
                 walk.failures, walk.waited
@@ -270,7 +270,6 @@ class ServeClient:
                 f"no replica of block {block_id} served verified data"
             )
         if walk.shed_any:
-            self.reads_shed += 1
             raise OverloadSheddedError(
                 f"every replica of block {block_id} shed the read"
             )
@@ -315,10 +314,12 @@ class ServeClient:
             self._report_corrupt(block_id, candidate.node)
         elif status == 503:
             walk.shed_any = True
+            self.reads_shed += 1
             backoff = False
         if breaker is not None:
             breaker.record_failure(time.monotonic())
         walk.failures += 1
+        self.read_failovers += 1
         if backoff and self.retry_policy.admits(walk.failures, walk.waited):
             delay = self.retry_policy.delay(walk.failures, self._rng)
             time.sleep(delay)

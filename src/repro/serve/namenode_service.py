@@ -198,7 +198,7 @@ class NetworkTransferService(TransferService):
             self._active[dst] -= 1
             if outcome == "ok":
                 elapsed = time.monotonic() - started
-                self.durations.record(elapsed)
+                self.durations.append(elapsed)
                 self.bytes_transferred += size
                 self.bytes_by_kind[kind] = (
                     self.bytes_by_kind.get(kind, 0) + size

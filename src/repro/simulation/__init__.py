@@ -1,20 +1,5 @@
-"""Discrete-event simulation kernel and metric collectors."""
+"""Discrete-event simulation kernel."""
 
 from repro.simulation.engine import EventToken, Simulation
-from repro.simulation.metrics import (
-    Counter,
-    Distribution,
-    HourlyRate,
-    MetricsRecorder,
-    TimeSeries,
-)
 
-__all__ = [
-    "EventToken",
-    "Simulation",
-    "Counter",
-    "Distribution",
-    "HourlyRate",
-    "MetricsRecorder",
-    "TimeSeries",
-]
+__all__ = ["EventToken", "Simulation"]

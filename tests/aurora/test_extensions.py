@@ -102,15 +102,15 @@ class TestMovementCompression:
         AuroraSystem(nn, AuroraConfig(movement_compression=27.0))
         assert nn.movement_compression == 27.0
         meta = nn.create_file("/f", num_blocks=1)
-        write_durations = transfers.durations.samples
+        write_durations = list(transfers.durations)
         # Pipeline writes are uncompressed.
         assert all(d > 0.1 for d in write_durations)
         # A replication transfer is 27x faster for the same block size.
         block = meta.block_ids[0]
-        count_before = len(transfers.durations.samples)
+        count_before = len(transfers.durations)
         nn.set_replication(block, 4)
         sim.run()
-        movement = transfers.durations.samples[count_before:]
+        movement = transfers.durations[count_before:]
         assert len(movement) == 1
         assert movement[0] < max(write_durations) / 10
 

@@ -1,16 +1,9 @@
-"""Unit tests for machine runtime state and failure plans."""
-
-import random
+"""Unit tests for machine runtime state."""
 
 import pytest
 
-from repro.cluster.failures import (
-    FailureKind,
-    generate_failure_plan,
-)
 from repro.cluster.machine import MachineState
-from repro.cluster.topology import ClusterTopology
-from repro.errors import InvalidProblemError, SchedulerError
+from repro.errors import SchedulerError
 
 
 class TestMachineState:
@@ -44,168 +37,3 @@ class TestMachineState:
         assert machine.alive
         assert machine.free_slots == 4
 
-
-class TestFailurePlan:
-    def topo(self):
-        return ClusterTopology.uniform(3, 4, capacity=10)
-
-    def test_deterministic_for_seed(self):
-        plan_a = generate_failure_plan(
-            self.topo(), horizon=50_000.0, rng=random.Random(5),
-            machine_mtbf=20_000.0,
-        )
-        plan_b = generate_failure_plan(
-            self.topo(), horizon=50_000.0, rng=random.Random(5),
-            machine_mtbf=20_000.0,
-        )
-        assert plan_a == plan_b
-
-    def test_events_sorted_and_paired(self):
-        plan = generate_failure_plan(
-            self.topo(), horizon=100_000.0, rng=random.Random(1),
-            machine_mtbf=30_000.0, rack_mtbf=80_000.0, repair_time=600.0,
-        )
-        times = [e.time for e in plan]
-        assert times == sorted(times)
-        down = set()
-        for event in plan:
-            key = (event.kind, event.target)
-            if event.is_recovery:
-                assert key in down
-                down.discard(key)
-            else:
-                # No double-failure while a target is already down.
-                assert key not in down
-                down.add(key)
-
-    def test_recovery_follows_repair_time(self):
-        plan = generate_failure_plan(
-            self.topo(), horizon=1_000_000.0, rng=random.Random(2),
-            machine_mtbf=100_000.0, repair_time=500.0,
-        )
-        failures = {}
-        for event in plan:
-            key = (event.kind, event.target)
-            if not event.is_recovery:
-                failures[key] = event.time
-            else:
-                assert event.time == pytest.approx(failures[key] + 500.0)
-
-    def test_counts(self):
-        plan = generate_failure_plan(
-            self.topo(), horizon=500_000.0, rng=random.Random(3),
-            machine_mtbf=50_000.0, rack_mtbf=200_000.0,
-        )
-        assert plan.machine_outages() > 0
-        assert plan.rack_outages() > 0
-        assert len(plan) == sum(1 for _ in plan)
-
-    def test_no_failures_without_mtbf(self):
-        plan = generate_failure_plan(
-            self.topo(), horizon=1_000.0, rng=random.Random(0)
-        )
-        assert len(plan) == 0
-
-    def test_validation(self):
-        with pytest.raises(InvalidProblemError):
-            generate_failure_plan(self.topo(), horizon=0.0, rng=random.Random(0))
-        with pytest.raises(InvalidProblemError):
-            generate_failure_plan(
-                self.topo(), horizon=10.0, rng=random.Random(0),
-                machine_mtbf=-1.0,
-            )
-        with pytest.raises(InvalidProblemError):
-            generate_failure_plan(
-                self.topo(), horizon=10.0, rng=random.Random(0),
-                repair_time=0.0,
-            )
-
-    def test_zero_mtbf_rejected(self):
-        with pytest.raises(InvalidProblemError):
-            generate_failure_plan(
-                self.topo(), horizon=10.0, rng=random.Random(0),
-                machine_mtbf=0.0,
-            )
-        with pytest.raises(InvalidProblemError):
-            generate_failure_plan(
-                self.topo(), horizon=10.0, rng=random.Random(0),
-                rack_mtbf=0.0,
-            )
-
-    def test_same_seed_replay_identical_with_both_classes(self):
-        def make():
-            return generate_failure_plan(
-                self.topo(), horizon=200_000.0, rng=random.Random(8),
-                machine_mtbf=40_000.0, rack_mtbf=90_000.0,
-                repair_time=700.0,
-            )
-
-        plan_a, plan_b = make(), make()
-        assert plan_a == plan_b
-        assert list(plan_a) == list(plan_b)
-
-    def test_recovery_never_precedes_its_failure(self):
-        plan = generate_failure_plan(
-            self.topo(), horizon=500_000.0, rng=random.Random(9),
-            machine_mtbf=30_000.0, rack_mtbf=80_000.0,
-        )
-        last = {}
-        for event in plan:
-            key = (event.kind, event.target)
-            previous = last.get(key)
-            if event.is_recovery:
-                assert previous is not None and not previous.is_recovery
-                assert event.time > previous.time
-            elif previous is not None:
-                # A target only fails again after it recovered.
-                assert previous.is_recovery
-                assert event.time >= previous.time
-            last[key] = event
-
-    def test_overlapping_machine_and_rack_outages_are_independent(self):
-        # A machine failing while its (or any) rack is down is a valid
-        # schedule: the merge-while-down rule applies per (kind, target)
-        # stream, so cross-kind overlaps survive and each outage still
-        # gets its own recovery.
-        repair = 5_000.0
-        horizon = 2_000_000.0
-        plan = generate_failure_plan(
-            self.topo(), horizon=horizon, rng=random.Random(6),
-            machine_mtbf=60_000.0, rack_mtbf=120_000.0, repair_time=repair,
-        )
-        rack_windows = []
-        window_start = {}
-        for event in plan:
-            if event.kind is not FailureKind.RACK:
-                continue
-            if event.is_recovery:
-                rack_windows.append(
-                    (window_start.pop(event.target), event.time)
-                )
-            else:
-                window_start[event.target] = event.time
-        overlapping = [
-            event for event in plan
-            if event.kind is FailureKind.MACHINE and not event.is_recovery
-            and any(lo <= event.time < hi for lo, hi in rack_windows)
-        ]
-        assert overlapping, "seed produced no overlap; pick another"
-        for failure in overlapping:
-            healed = any(
-                e.kind is FailureKind.MACHINE
-                and e.target == failure.target
-                and e.is_recovery
-                and e.time == pytest.approx(failure.time + repair)
-                for e in plan
-            )
-            # Recoveries are dropped only when clamped by the horizon.
-            assert healed or failure.time + repair >= horizon
-
-    def test_describe(self):
-        plan = generate_failure_plan(
-            self.topo(), horizon=200_000.0, rng=random.Random(4),
-            machine_mtbf=50_000.0,
-        )
-        if plan.events:
-            text = plan.events[0].describe()
-            assert "machine" in text

@@ -290,7 +290,7 @@ class TestReplicationManagement:
         assert nn.blockmap.replica_count(block) == 3
         sim.run()
         assert nn.blockmap.replica_count(block) == 4
-        assert transfers.durations.max() > 0
+        assert max(transfers.durations) > 0
 
 
 class TestLoadAwarePolicy:

@@ -1,33 +1,13 @@
-"""Tests for the scale study and CSV export."""
-
-import csv
+"""Tests for the scale study."""
 
 import pytest
 
-from repro.experiments.export import export_fig3, export_fig5, export_fig6
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.harness import ClusterConfig
 from repro.experiments.scale import (
     ScalePoint,
     render_scale_study,
     run_scale_study,
 )
 from repro.experiments.harness import RunResult, SystemKind
-from repro.workload.yahoo import YahooTraceConfig, generate_yahoo_trace
-
-
-def small_trace(seed=0):
-    return generate_yahoo_trace(YahooTraceConfig(
-        num_files=20, jobs_per_hour=120.0, duration_hours=1.0,
-        mean_task_duration=60.0, seed=seed,
-    ))
-
-
-def small_cluster():
-    return ClusterConfig(num_racks=3, machines_per_rack=3,
-                         capacity_blocks=150, slots_per_machine=2)
 
 
 class TestScaleStudy:
@@ -90,39 +70,3 @@ class TestScaleStudy:
         ])
         assert "NOT CONFIRMED" in text
 
-
-class TestCsvExport:
-    def test_export_fig3(self, tmp_path):
-        result = run_fig3(trace=small_trace(), cluster=small_cluster(),
-                          epsilons=(0.1,))
-        export_fig3(result, tmp_path)
-        with (tmp_path / "fig3a.csv").open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["system", "epsilon", "remote_tasks_per_hour",
-                           "remote_fraction"]
-        assert rows[1][0] == "hdfs"
-        assert rows[2][0] == "aurora"
-        assert (tmp_path / "fig3b.csv").exists()
-        assert (tmp_path / "fig3c.csv").exists()
-
-    def test_export_fig5(self, tmp_path):
-        trace = small_trace(seed=1)
-        result = run_fig5(trace=trace, cluster=small_cluster(),
-                          epsilons=(0.1,), budget_extra=trace.total_blocks)
-        export_fig5(result, tmp_path)
-        for name in ("fig5a.csv", "fig5b.csv", "fig5c.csv"):
-            assert (tmp_path / name).exists()
-        with (tmp_path / "fig5a.csv").open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[1][0] == "scarlett"
-
-    def test_export_fig6(self, tmp_path):
-        result = run_fig6(seed=0)
-        export_fig6(result, tmp_path)
-        with (tmp_path / "fig6a.csv").open() as handle:
-            rows = list(csv.reader(handle))
-        assert len(rows) == 4  # header + 3 systems
-        with (tmp_path / "fig6c.csv").open() as handle:
-            cdf_rows = list(csv.reader(handle))
-        assert cdf_rows[0] == ["movement_duration_s", "cdf"]
-        assert len(cdf_rows) > 2

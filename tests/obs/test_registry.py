@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import MetricsError
@@ -13,7 +14,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.simulation.metrics import Distribution
 
 
 class TestCounter:
@@ -106,15 +106,15 @@ class TestHistogram:
         # percentile to within one bucket width.
         reg = MetricsRegistry()
         h = reg.histogram("lat", buckets=DEFAULT_BUCKETS)
-        exact = Distribution()
+        exact = []
         rng = random.Random(7)
         for _ in range(2000):
             v = rng.expovariate(1.0 / 0.05)
             h.observe(v)
-            exact.record(v)
+            exact.append(v)
         for q in (50, 90, 99):
             estimated = h.percentile(q)
-            truth = exact.percentile(q)
+            truth = float(np.percentile(exact, q))
             # Bucket width at these magnitudes is <= the next bound up.
             assert estimated == pytest.approx(truth, rel=1.0)
             assert estimated <= h.percentile(100)
@@ -170,10 +170,22 @@ class TestRegistry:
         c.labels(k="a").inc(5)
         reg.reset()
         assert reg.get("x_total") is c
-        # The handle (and its cached children) stay usable.
+        # The handle stays usable; a child looked up again starts at zero.
         assert c.labels(k="a").value == 0
         c.labels(k="a").inc()
         assert c.labels(k="a").value == 1
+
+    def test_reset_drops_labeled_series(self):
+        reg = MetricsRegistry()
+        c = reg.counter("x_total", labelnames=["k"])
+        h = reg.histogram("h", labelnames=["k"], buckets=(1.0,))
+        c.labels(k="before").inc()
+        h.labels(k="before").observe(0.5)
+        reg.reset()
+        c.labels(k="after").inc()
+        snap = reg.snapshot()
+        assert list(snap["x_total"]["series"]) == ["{k='after'}"]
+        assert snap["h"]["series"] == {}
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()

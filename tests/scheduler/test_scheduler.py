@@ -127,7 +127,7 @@ class TestSchedulerIntegration:
         assert scheduler.jobs_completed == 1
         assert scheduler.pending_jobs() == 0
         assert job.completion_time >= 10.0
-        assert scheduler.metrics.distribution("job_completion").mean() > 0
+        assert scheduler.completed_jobs == [job]
 
     def test_local_tasks_finish_faster_than_remote(self):
         sim, nn, scheduler = build_cluster(slots=1)

@@ -1,18 +1,9 @@
-"""Unit tests for the DES engine and metric collectors."""
-
-import math
+"""Unit tests for the DES engine."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.engine import Simulation
-from repro.simulation.metrics import (
-    Counter,
-    Distribution,
-    HourlyRate,
-    MetricsRecorder,
-    TimeSeries,
-)
 
 
 class TestSimulation:
@@ -183,73 +174,3 @@ class TestEngineDeterminismRegression:
         sim.run()
         assert log == list(range(50))
 
-
-class TestMetrics:
-    def test_counter(self):
-        counter = Counter()
-        counter.add("x")
-        counter.add("x", 2.5)
-        assert counter.get("x") == pytest.approx(3.5)
-        assert counter.get("missing") == 0.0
-        assert counter.as_dict() == {"x": 3.5}
-
-    def test_hourly_rate_bucketing(self):
-        rate = HourlyRate()
-        rate.record(10.0)           # hour 0
-        rate.record(3599.0)         # hour 0
-        rate.record(3600.0, 2.0)    # hour 1
-        assert rate.per_hour(3) == [2.0, 2.0, 0.0]
-        assert rate.total() == 4.0
-        assert rate.mean_per_hour(4) == pytest.approx(1.0)
-        assert rate.mean_per_hour(0) == 0.0
-
-    def test_distribution_statistics(self):
-        dist = Distribution()
-        dist.extend([1.0, 2.0, 3.0, 4.0])
-        assert dist.mean() == pytest.approx(2.5)
-        assert dist.min() == 1.0
-        assert dist.max() == 4.0
-        assert dist.percentile(50) == pytest.approx(2.5)
-        assert len(dist) == 4
-        cv = dist.coefficient_of_variation()
-        assert cv == pytest.approx(dist.std() / dist.mean())
-
-    def test_distribution_empty_is_nan(self):
-        dist = Distribution()
-        assert math.isnan(dist.mean())
-        assert math.isnan(dist.percentile(50))
-        assert math.isnan(dist.coefficient_of_variation())
-        assert dist.cdf() == []
-
-    def test_distribution_cdf_monotone(self):
-        dist = Distribution()
-        dist.extend([5.0, 1.0, 3.0, 2.0, 4.0])
-        points = dist.cdf(points=5)
-        values = [v for v, _ in points]
-        probs = [p for _, p in points]
-        assert values == sorted(values)
-        assert probs == sorted(probs)
-        assert probs[-1] == pytest.approx(1.0)
-
-    def test_time_series(self):
-        series = TimeSeries()
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.points == [(1.0, 10.0), (2.0, 20.0)]
-        assert series.values() == [10.0, 20.0]
-        assert series.last() == (2.0, 20.0)
-        with pytest.raises(IndexError):
-            TimeSeries().last()
-
-    def test_recorder_registry(self):
-        recorder = MetricsRecorder()
-        recorder.rate("moves").record(0.0)
-        recorder.distribution("load").record(5.0)
-        recorder.series("cost").record(0.0, 1.0)
-        recorder.counters.add("jobs")
-        assert recorder.rate("moves").total() == 1.0
-        assert recorder.distribution("load").mean() == 5.0
-        assert recorder.series("cost").last() == (0.0, 1.0)
-        assert recorder.counters.get("jobs") == 1.0
-        # Same name returns the same collector.
-        assert recorder.rate("moves") is recorder.rate("moves")
