@@ -42,21 +42,24 @@ Holder sets stay sparse: a block has a handful of replicas, and a dense
 
 **Cold build, first-touch indexes.**  Each Aurora period rebuilds the
 state from an assignment (:meth:`from_assignment`), yet one search reads
-the share index of only a few hundred machines.  So the build is bulk
-numpy work: the per-block holder sets are made eagerly, the loads, rack
-loads and a dense per-machine used-slot column are ``np.bincount``
-accumulations, and every replica goes into one machine-sorted CSR
-(compressed sparse row: flat ``(share, block_id)`` columns sorted by
-machine, share and block, plus per-machine row offsets).  A machine's
-block set and share list are built from its CSR row the first time
-anything reads or mutates them, and a block's per-rack holder counts from
-its holder set the first time anything reads them.  Until then the CSR
-row is exactly the machine's current state, because every mutation
-materialises the machines it touches first.  The CSR arrays are
-read-only and shared by :meth:`copy`; the lazy containers are plain
+the holders of only a few thousand blocks and the share index of only a
+few hundred machines.  So the build is bulk numpy work and makes no
+Python container per block or per machine: the loads, rack loads and a
+dense per-machine used-slot column are ``np.bincount`` accumulations,
+and every replica goes into two CSRs (compressed sparse rows: flat
+columns plus row offsets).  The *block CSR* lists each block's holders,
+blocks in problem order; the *machine CSR* holds flat ``(share,
+block_id)`` columns sorted by machine, share and block.  A block's
+holder set is built from its block CSR row, and a machine's block set
+and share list from its machine CSR row, the first time anything reads
+or mutates them; a block's per-rack holder counts are built from its
+holder set the first time anything reads them.  Until then a CSR row is
+exactly the block's or machine's current state, because every mutation
+materialises the blocks and machines it touches first.  The CSR arrays
+are read-only and shared by :meth:`copy`; the lazy containers are plain
 lists, sets and dicts with no reference back to the state, so a dropped
 state is freed by reference counting alone.  ``__init__`` runs the same
-path with an empty CSR.
+path with empty CSRs.
 
 Loads are floats updated incrementally; :meth:`recompute` rebuilds them
 from scratch with the build's own accumulation (so the two are
@@ -72,10 +75,11 @@ from __future__ import annotations
 import copy
 import sys
 from bisect import bisect_left, insort
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import (
-    Collection, Dict, FrozenSet, Iterable, List, Mapping, NoReturn,
-    Optional, Sequence, Set, Tuple,
+    Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+    NoReturn, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -92,67 +96,60 @@ __all__ = ["PlacementState"]
 
 _RECOMPUTE_INTERVAL = 65536
 
-_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-_NO_REPLICAS: _Columns = (
-    np.empty(0, dtype=np.intp),
-    np.empty(0, dtype=np.intp),
-    np.empty(0, dtype=object),
-    np.empty(0, dtype=np.float64),
-)
+_BLOCK_ID = attrgetter("block_id")
+_POPULARITY = attrgetter("popularity")
+
+
+def _block_rows(problem: PlacementProblem) -> Dict[int, int]:
+    """``{block_id: row}`` in problem order, keyed by the specs' own ids."""
+    blocks = problem.blocks
+    return dict(zip(map(_BLOCK_ID, blocks), range(len(blocks))))
 
 
 def _replica_columns(
-    problem: PlacementProblem, holders_of: Mapping[int, Set[int]]
+    problem: PlacementProblem, holder_rows: Sequence[Collection[int]]
 ) -> _Columns:
-    """``(counts, machines, block_ids, shares)`` of the holder sets.
+    """``(counts, machines, shares)`` of every block's holders.
 
-    ``counts``, ``block_ids`` and ``shares`` have one entry per block in
-    problem order; ``machines`` lists every replica's holder, block by
-    block in that order.  Blocks without replicas contribute nothing, so
-    they may also be left out (as in ``_NO_REPLICAS``).  ``block_ids``
-    holds the specs' own id objects (object dtype): indexes materialised
-    from it then hold the very ints the holder map and the problem are
-    keyed by, so dict and set lookups with them match on identity.
-    Building the machine column raises on holder ids that are not
-    machine indexes.
+    ``holder_rows`` lists each block's holders in problem order.
+    ``counts`` and ``shares`` have one entry per block in that order;
+    ``machines`` lists every replica's holder, block by block.  Building
+    the machine column raises on holder ids that are not machine indexes.
     """
     blocks = problem.blocks
-    holder_sets = [holders_of[spec.block_id] for spec in blocks]
-    counts = np.fromiter(map(len, holder_sets), np.intp, len(holder_sets))
+    counts = np.fromiter(map(len, holder_rows), np.intp, len(holder_rows))
     machines = np.fromiter(
-        chain.from_iterable(holder_sets), np.intp, int(counts.sum())
-    )
-    block_ids = np.fromiter(
-        (spec.block_id for spec in blocks), object, len(blocks)
+        chain.from_iterable(holder_rows), np.intp, int(counts.sum())
     )
     popularity = np.fromiter(
-        (spec.popularity for spec in blocks), np.float64, len(blocks)
+        map(_POPULARITY, blocks), np.float64, len(blocks)
     )
     # The same IEEE division as share(): popularity / count.
     shares = np.divide(
         popularity, counts, out=np.zeros_like(popularity), where=counts > 0
     )
-    return counts, machines, block_ids, shares
+    return counts, machines, shares
 
 
 def _validated_columns(
     problem: PlacementProblem,
     assignment: Mapping[int, Collection[int]],
-    holders_of: Mapping[int, Set[int]],
+    block_rows: Mapping[int, int],
+    holder_rows: Sequence[Collection[int]],
 ) -> Optional[_Columns]:
-    """The replica columns of ``holders_of``, or ``None`` if any replica
-    of ``assignment`` (which ``holders_of`` copies) is invalid."""
-    if not assignment.keys() <= holders_of.keys():
+    """The replica columns of ``holder_rows`` (``assignment``'s
+    collections in problem order), or ``None`` if any replica of
+    ``assignment`` is invalid."""
+    if not assignment.keys() <= block_rows.keys():
         return None  # an unknown block
     try:
-        columns = _replica_columns(problem, holders_of)
+        columns = _replica_columns(problem, holder_rows)
     except (OverflowError, TypeError, ValueError):
         return None  # a holder id that is no machine index
     machines = columns[1]
     num_machines = problem.topology.num_machines
-    if machines.size != sum(map(len, assignment.values())):
-        return None  # a block lists one machine twice
     if machines.size and not (
         0 <= machines.min() and machines.max() < num_machines
     ):
@@ -160,37 +157,45 @@ def _validated_columns(
     used = np.bincount(machines, minlength=num_machines)
     if (used > np.asarray(problem.topology.capacities)).any():
         return None  # a machine over capacity
-    return columns
+    return columns  # a machine listed twice in one block: see _install
 
 
 class PlacementState:
     """Assignment of block replicas to machines, with incremental loads."""
 
     def __init__(self, problem: PlacementProblem) -> None:
+        block_rows = _block_rows(problem)
         self._install(
-            problem, {spec.block_id: set() for spec in problem}, _NO_REPLICAS
+            problem, block_rows,
+            _replica_columns(problem, [()] * len(block_rows)),
         )
 
     def _install(
         self,
         problem: PlacementProblem,
-        holders_of: Dict[int, Set[int]],
+        block_rows: Dict[int, int],
         columns: _Columns,
-    ) -> None:
-        """Set up every structure from the holder sets and their replica columns.
+    ) -> bool:
+        """Set up every structure from the replica columns.
 
-        ``columns`` is ``_replica_columns(problem, holders_of)``, or
-        ``_NO_REPLICAS`` when every holder set is empty.  The
-        loads, rack loads and used-slot column are accumulated in bulk;
-        the CSR is sorted by machine, then share, then block id — the
-        order of each machine's share index — with the ``(share, block)``
-        order computed once per block and the replicas sorted on one
-        composite integer key.
+        ``block_rows`` is ``_block_rows(problem)`` and ``columns`` the
+        validated ``_replica_columns`` of the holders, whose machine
+        column becomes the block CSR.  The loads, rack loads and
+        used-slot column are accumulated in bulk; the machine CSR is
+        sorted by machine, then share, then block id — the order of each
+        machine's share index — with the ``(share, block)`` order
+        computed once per block and the replicas sorted on one composite
+        integer key.  That key is unique per ``(block, machine)`` cell,
+        so two equal keys mean a block lists one machine twice: the
+        state is then invalid and ``False`` is returned.
         """
         self.problem = problem
         topo = problem.topology
         num_machines, num_racks = topo.num_machines, topo.num_racks
-        self._machines_of = holders_of
+        # Read-only, like the CSRs, and shared by copies.
+        self._block_row = block_rows
+        # Per-block holder sets, built from the block CSR on first touch.
+        self._machines_of: Dict[int, Set[int]] = {}
         # Per-block {rack: holders} counts, built on first read.
         self._rack_holders: Dict[int, Dict[int, int]] = {}
         self._mutations = 0
@@ -204,7 +209,11 @@ class PlacementState:
         self._ext_hot = np.zeros(num_racks, dtype=np.float64)
         self._ext_cold = np.zeros(num_racks, dtype=np.float64)
         self._ext_dirty: Set[int] = set(topo.racks)
-        counts, machines, block_ids, shares = columns
+        counts, machines, shares = columns
+        num_blocks = counts.size
+        self._holder_start = np.zeros(num_blocks + 1, dtype=np.intp)
+        np.cumsum(counts, out=self._holder_start[1:])
+        self._holder_machine = machines
         self._loads = np.empty(num_machines, dtype=np.float64)
         self._rack_loads = np.empty(num_racks, dtype=np.float64)
         self._accumulate_loads(counts, machines, shares)
@@ -213,25 +222,32 @@ class PlacementState:
         # several times cheaper on a list than on an array.
         self._used: List[int] = used.tolist()
         # Rank the blocks by (share, block_id), then sort the replicas on
-        # machine * B + rank: unique keys, so one plain argsort.
-        num_blocks = block_ids.size
+        # machine * B + rank: unique keys for a valid assignment, so one
+        # plain argsort.  The id column holds the specs' own id objects
+        # (object dtype): indexes materialised from it then hold the very
+        # ints the holder map and the problem are keyed by, so dict and
+        # set lookups match on identity.
+        block_ids = np.fromiter(block_rows, object, num_blocks)
         rank = np.empty(num_blocks, dtype=np.int64)
         rank[np.lexsort((block_ids.astype(np.int64), shares))] = np.arange(
             num_blocks
         )
-        order = np.argsort(machines * num_blocks + np.repeat(rank, counts))
+        keys = machines * num_blocks + np.repeat(rank, counts)
+        order = np.argsort(keys)
+        keys = keys[order]
         start = np.zeros(num_machines + 1, dtype=np.intp)
         np.cumsum(used, out=start[1:])
         self._csr_start = start
         self._csr_share = np.repeat(shares, counts)[order]
         self._csr_block = np.repeat(block_ids, counts)[order]
-        for array in (self._csr_start, self._csr_share, self._csr_block):
+        for array in self._csr_arrays():
             array.flags.writeable = False
         # First-touch per-machine indexes (see _blocks_of / _index_of).
         self._blocks_on: List[Optional[Set[int]]] = [None] * num_machines
         self._share_index: List[Optional[List[Tuple[float, int]]]] = (
             [None] * num_machines
         )
+        return not (keys[1:] == keys[:-1]).any()
 
     # -- basic queries -------------------------------------------------------
 
@@ -617,8 +633,9 @@ class PlacementState:
         Loads, epochs and the mutation counter are carried over, so the
         copy runs its periodic :meth:`recompute` at the same mutations as
         the original: driven by the same operations, both stay
-        bit-identical.  The read-only CSR and rack-member arrays are
-        shared; only the indexes materialised so far are copied.
+        bit-identical.  The read-only CSRs, block-row map and
+        rack-member arrays are shared; only the indexes materialised so
+        far (holder sets included) are copied.
         """
         clone = copy.copy(self)
         clone._machines_of = {
@@ -643,10 +660,7 @@ class PlacementState:
 
     def to_assignment(self) -> Dict[int, FrozenSet[int]]:
         """Snapshot mapping each block id to its holder set."""
-        return {
-            block_id: frozenset(machines)
-            for block_id, machines in self._machines_of.items()
-        }
+        return dict(zip(self._block_row, map(frozenset, self._holder_rows())))
 
     @classmethod
     def from_assignment(
@@ -654,25 +668,28 @@ class PlacementState:
     ) -> "PlacementState":
         """Rebuild a state from a block-to-machines mapping.
 
-        Built in bulk (see the module docstring): the holder sets are
-        copied directly, then the machine column of every replica is
-        range-checked, counted against the capacities with one
-        ``np.bincount`` and indexed into the CSR, instead of replaying
-        one :meth:`add_replica` per replica, which re-dilutes every prior
-        holder and re-sorts share indices on each add.  Invalid input
-        raises exactly what that replay raises, for the first offending
-        replica in assignment order: unknown blocks, unknown machines,
-        duplicate holders and capacity overruns.
+        Built in bulk (see the module docstring): the machine column of
+        every replica is read straight from the caller's collections,
+        blocks in problem order, then range-checked, counted against the
+        capacities with one ``np.bincount``, kept as the block CSR and
+        indexed into the machine CSR, whose sort also finds a machine
+        listed twice in one block.  Holder sets are built on first
+        touch, and the state keeps no reference to ``assignment`` or its
+        collections.  This replaces replaying one :meth:`add_replica` per
+        replica, which re-dilutes every prior holder and re-sorts share
+        indices on each add.  Invalid input raises exactly what that
+        replay raises, for the first offending replica in assignment
+        order: unknown blocks, unknown machines, duplicate holders and
+        capacity overruns.
         """
-        holders_of = {
-            spec.block_id: set(assignment.get(spec.block_id, ()))
-            for spec in problem.blocks
-        }
-        columns = _validated_columns(problem, assignment, holders_of)
-        if columns is None:
-            cls._raise_first_error(problem, assignment)
+        block_rows = _block_rows(problem)
+        holder_rows = list(map(assignment.get, block_rows, repeat(())))
+        columns = _validated_columns(
+            problem, assignment, block_rows, holder_rows
+        )
         state = cls.__new__(cls)
-        state._install(problem, holders_of, columns)
+        if columns is None or not state._install(problem, block_rows, columns):
+            cls._raise_first_error(problem, assignment)
         return state
 
     @classmethod
@@ -694,8 +711,8 @@ class PlacementState:
         extremes are marked stale and every machine epoch is bumped
         (invalidating any exhausted-pair memo held by a search engine).
         """
-        counts, machines, _, shares = _replica_columns(
-            self.problem, self._machines_of
+        counts, machines, shares = _replica_columns(
+            self.problem, list(self._holder_rows())
         )
         self._accumulate_loads(counts, machines, shares)
         self._machine_epoch += 1
@@ -721,39 +738,17 @@ class PlacementState:
     def audit(self) -> None:
         """Verify every structural invariant; raise ``AssertionError`` on drift.
 
-        Rebuilds every machine's block set from the holder sets and checks
+        Rebuilds every machine's block set from the holders of every
+        block (its materialised set, else its block CSR row) and checks
         against it, for materialised and unmaterialised machines alike:
         the block set, the used-slot column and capacity, and the share
         index.  Also checks the materialised rack holder counters, that
-        the CSR is read-only, that the cached per-rack extremes match a
+        the CSRs are read-only, that the cached per-rack extremes match a
         scan, and that incremental loads match a from-scratch
         recomputation.
         """
+        self._audit_machines()
         topo = self.topology
-        expected_blocks: List[Set[int]] = [set() for _ in topo.machines]
-        for block_id, machines in self._machines_of.items():
-            for machine in machines:
-                expected_blocks[machine].add(block_id)
-        for array in (self._csr_start, self._csr_share, self._csr_block):
-            assert not array.flags.writeable, "CSR array is writeable"
-        for machine, expected in enumerate(expected_blocks):
-            shares, blocks = self._csr_row(machine)
-            actual = self._blocks_on[machine]
-            if actual is None:
-                actual = set(blocks)
-            assert actual == expected, f"block set drift on machine {machine}"
-            assert self._used[machine] == len(expected), (
-                f"used-slot drift on machine {machine}"
-            )
-            assert len(expected) <= topo.capacity_of(machine), (
-                f"machine {machine} over capacity"
-            )
-            index = self._share_index[machine]
-            if index is None:
-                index = list(zip(shares, blocks))
-            assert index == sorted(
-                (self.share(block_id), block_id) for block_id in expected
-            ), f"share index drift on machine {machine}"
         for block_id, holders in self._rack_holders.items():
             expected_racks: Dict[int, int] = {}
             for machine in self._machines_of[block_id]:
@@ -782,6 +777,41 @@ class PlacementState:
             "rack load drift"
         )
 
+    def _audit_machines(self) -> None:
+        """:meth:`audit`'s per-machine checks, against the block sets
+        rebuilt from every block's holders.  A method of its own, so those
+        sets are freed before :meth:`audit` recomputes the loads."""
+        topo = self.topology
+        expected_blocks: List[Set[int]] = [set() for _ in topo.machines]
+        # share() of every block, without building its holder set.
+        share_of: Dict[int, float] = {}
+        for spec, machines in zip(self.problem.blocks, self._holder_rows()):
+            block_id = spec.block_id
+            if machines:
+                share_of[block_id] = spec.popularity / len(machines)
+            for machine in machines:
+                expected_blocks[machine].add(block_id)
+        for array in self._csr_arrays():
+            assert not array.flags.writeable, "CSR array is writeable"
+        for machine, expected in enumerate(expected_blocks):
+            shares, blocks = self._csr_row(machine)
+            actual = self._blocks_on[machine]
+            if actual is None:
+                actual = set(blocks)
+            assert actual == expected, f"block set drift on machine {machine}"
+            assert self._used[machine] == len(expected), (
+                f"used-slot drift on machine {machine}"
+            )
+            assert len(expected) <= topo.capacity_of(machine), (
+                f"machine {machine} over capacity"
+            )
+            index = self._share_index[machine]
+            if index is None:
+                index = list(zip(shares, blocks))
+            assert index == sorted(
+                (share_of[block_id], block_id) for block_id in expected
+            ), f"share index drift on machine {machine}"
+
     # -- memory accounting ---------------------------------------------------------
 
     def state_bytes(self) -> int:
@@ -789,23 +819,23 @@ class PlacementState:
 
         Sums ``sys.getsizeof`` of every array and container the state
         owns (each counted once; the problem and topology are shared and
-        not counted), including the CSR arrays but only the per-machine
-        and per-block indexes materialised so far, plus a flat per-entry
-        estimate for the ``(share, block_id)`` tuples the materialised
-        share indices point at.  It is an *estimate* — small-int
-        interning and allocator slack are not modeled — but it is
-        deterministic, which is what the ``repro_core_state_bytes`` gauge
-        needs to compare footprints.
+        not counted), including the CSR arrays and the block-row map but
+        only the per-machine and per-block indexes materialised so far,
+        plus a flat per-entry estimate for the ``(share, block_id)``
+        tuples the materialised share indices point at.  It is an
+        *estimate* — small-int interning and allocator slack are not
+        modeled — but it is deterministic, which is what the
+        ``repro_core_state_bytes`` gauge needs to compare footprints.
         """
         getsizeof = sys.getsizeof
         arrays = (
             self._loads, self._rack_loads, self._machine_epoch, self._used,
             self._ext_high, self._ext_low, self._ext_hot, self._ext_cold,
-            self._csr_start, self._csr_share, self._csr_block,
-            *self._rack_members,
+            *self._csr_arrays(), *self._rack_members,
         )
         total = sum(getsizeof(array) for array in arrays)
         total += getsizeof(self._rack_members) + getsizeof(self._ext_dirty)
+        total += getsizeof(self._block_row)
         total += getsizeof(self._machines_of) + sum(
             getsizeof(s) for s in self._machines_of.values()
         )
@@ -844,6 +874,23 @@ class PlacementState:
             racks, weights=shares, minlength=topo.num_racks
         )
 
+    def _csr_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The read-only arrays of the block and machine CSRs."""
+        return (
+            self._holder_start, self._holder_machine,
+            self._csr_start, self._csr_share, self._csr_block,
+        )
+
+    def _holder_rows(self) -> Iterator[Collection[int]]:
+        """Every block's holders in problem order: its materialised set
+        where one exists, else its block CSR row."""
+        machines = self._holder_machine
+        bounds = self._holder_start.tolist()
+        built = self._machines_of
+        for block_id, start, stop in zip(self._block_row, bounds, bounds[1:]):
+            holders = built.get(block_id)
+            yield machines[start:stop].tolist() if holders is None else holders
+
     def _csr_row(self, machine: int) -> Tuple[List[float], List[int]]:
         """The machine's ``(shares, block_ids)`` as built, sorted."""
         start, stop = self._csr_start[machine], self._csr_start[machine + 1]
@@ -869,10 +916,20 @@ class PlacementState:
         return index
 
     def _machines_for(self, block_id: int) -> Set[int]:
+        """The block's holder set, built from its CSR row on first touch."""
         try:
             return self._machines_of[block_id]
         except KeyError:
+            pass
+        try:
+            row = self._block_row[block_id]
+        except KeyError:
             raise UnknownBlockError(f"unknown block id {block_id}") from None
+        start, stop = self._holder_start[row:row + 2].tolist()
+        machines = self._machines_of[block_id] = set(
+            self._holder_machine[start:stop].tolist()
+        )
+        return machines
 
     def _rack_holders_for(self, block_id: int) -> Dict[int, int]:
         """The block's ``{rack: holders}`` counts, built on first read."""

@@ -1,4 +1,4 @@
-"""Reference (naive) implementation of Algorithms 1 and 2.
+"""Reference (naive) implementations of Algorithms 1, 2 and 3.
 
 This module is a frozen transcription of the local search exactly as the
 paper states it, with no incremental machinery: machine and rack extremes
@@ -24,25 +24,37 @@ outrank a small rack containing the true hottest machine, leaving that
 machine's load stranded; both solvers carry the fix so they stay in lock
 step.  See ``docs/performance.md``.
 
+It also keeps the heap transcription of Algorithm 3,
+:func:`reference_compute_replication_factors`: one lazily refreshed
+max-heap of receivers and one min-heap of donors, both ``heapify``-ed
+from a tuple per block.  :func:`repro.core.rep_factor.compute_replication_factors`
+must pop in exactly its order and return identical results, which
+``tests/core/test_rep_factor.py`` pins.
+
 Deliberately NOT exported from :mod:`repro.core` — production callers
 should use :func:`repro.core.local_search.balance_node_level` /
-:func:`repro.core.local_search.balance_rack_aware`.
+:func:`repro.core.local_search.balance_rack_aware` /
+:func:`repro.core.rep_factor.compute_replication_factors`.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import time
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.admissibility import AdmissibilityPolicy, AlwaysAdmissible
 from repro.core.local_search import SearchStats
 from repro.core.operations import MoveOp, Operation, SwapOp
 from repro.core.placement import PlacementState
+from repro.core.rep_factor import RepFactorResult, max_share
+from repro.errors import InvalidProblemError
 
 __all__ = [
     "reference_balance_node_level",
     "reference_balance_rack_aware",
+    "reference_compute_replication_factors",
     "reference_find_operation_between",
 ]
 
@@ -291,3 +303,169 @@ def reference_balance_rack_aware(
     stats.final_cost = state.cost()
     stats.elapsed_seconds = time.perf_counter() - started
     return stats
+
+
+def reference_compute_replication_factors(
+    popularities: Mapping[int, float],
+    min_factors: Mapping[int, int],
+    budget: int,
+    num_machines: int,
+    initial_factors: Optional[Mapping[int, int]] = None,
+    max_iterations: Optional[int] = None,
+) -> RepFactorResult:
+    """Algorithm 3 over two heapified lists of per-block tuples.
+
+    Same parameters and result as
+    :func:`repro.core.rep_factor.compute_replication_factors`, without
+    its metrics and logging.
+    """
+    started = time.perf_counter()
+    block_ids = list(popularities)
+    if set(min_factors) != set(block_ids):
+        raise InvalidProblemError("popularities and min_factors must share keys")
+    min_total = sum(min_factors.values())
+    if budget < min_total:
+        raise InvalidProblemError(
+            f"budget {budget} below the minimum replica total {min_total}"
+        )
+    for block_id in block_ids:
+        if min_factors[block_id] < 1:
+            raise InvalidProblemError(f"block {block_id}: min factor must be >= 1")
+        if min_factors[block_id] > num_machines:
+            raise InvalidProblemError(
+                f"block {block_id}: min factor exceeds machine count"
+            )
+        if popularities[block_id] < 0:
+            raise InvalidProblemError(
+                f"block {block_id}: popularity must be non-negative"
+            )
+
+    factors: Dict[int, int] = {}
+    for block_id in block_ids:
+        start = (initial_factors or min_factors).get(block_id, min_factors[block_id])
+        factors[block_id] = max(min_factors[block_id], min(int(start), num_machines))
+    used = sum(factors.values())
+    if used > budget:
+        # Trim the lowest-share blocks back towards their minima until the
+        # starting point is feasible.
+        trim_order = sorted(
+            block_ids, key=lambda b: popularities[b] / factors[b]
+        )
+        for block_id in trim_order:
+            while used > budget and factors[block_id] > min_factors[block_id]:
+                factors[block_id] -= 1
+                used -= 1
+        if used > budget:
+            raise InvalidProblemError("initial factors cannot fit the budget")
+
+    # Max-heap on per-replica popularity (receiver side); lazily refreshed.
+    def share(block_id: int) -> float:
+        return popularities[block_id] / factors[block_id]
+
+    receiver_heap = [(-share(b), b, factors[b]) for b in block_ids]
+    heapq.heapify(receiver_heap)
+    # Min-heap of donor shares after a hypothetical steal.
+    donor_heap = [
+        (popularities[b] / (factors[b] - 1), b, factors[b])
+        for b in block_ids
+        if factors[b] > min_factors[b]
+    ]
+    heapq.heapify(donor_heap)
+
+    iterations = 0
+    grants = 0
+    steals = 0
+    while max_iterations is None or iterations < max_iterations:
+        # Pop the highest-share block that can still receive a replica,
+        # skipping stale entries.  Blocks at the machine cap (or with
+        # zero popularity) are dropped from consideration: the paper's
+        # Lemma 7 lets the leftover budget flow to the next-hottest
+        # blocks without affecting optimality.
+        receiver = None
+        while receiver_heap:
+            neg_share, block_id, stamp = heapq.heappop(receiver_heap)
+            if stamp != factors[block_id]:
+                continue
+            if factors[block_id] >= num_machines or neg_share == 0.0:
+                continue
+            receiver = block_id
+            break
+        if receiver is None:
+            break
+        current_max = share(receiver)
+        if used < budget:
+            factors[receiver] += 1
+            used += 1
+            iterations += 1
+            grants += 1
+            _push_block(receiver_heap, donor_heap, popularities, min_factors,
+                        factors, receiver)
+            continue
+        # Budget exhausted: steal from the donor with the smallest
+        # post-steal share, provided that share stays strictly below the
+        # current maximum.
+        donor = None
+        while donor_heap:
+            post_share, block_id, stamp = heapq.heappop(donor_heap)
+            if stamp != factors[block_id] or factors[block_id] <= min_factors[block_id]:
+                continue
+            if block_id == receiver:
+                # A block never donates to itself; re-queue and look deeper.
+                requeue = (post_share, block_id, stamp)
+                donor = _pop_second_donor(donor_heap, factors, min_factors)
+                heapq.heappush(donor_heap, requeue)
+                break
+            donor = (post_share, block_id)
+            break
+        if donor is None:
+            heapq.heappush(
+                receiver_heap, (-current_max, receiver, factors[receiver])
+            )
+            break
+        post_share, donor_id = donor
+        if post_share >= current_max:
+            # Optimality certificate (Theorem 8): every possible steal
+            # raises some block to at least the current maximum.
+            heapq.heappush(receiver_heap, (-current_max, receiver, factors[receiver]))
+            heapq.heappush(donor_heap, (post_share, donor_id, factors[donor_id]))
+            break
+        factors[donor_id] -= 1
+        factors[receiver] += 1
+        iterations += 1
+        steals += 1
+        _push_block(receiver_heap, donor_heap, popularities, min_factors,
+                    factors, donor_id)
+        _push_block(receiver_heap, donor_heap, popularities, min_factors,
+                    factors, receiver)
+
+    return RepFactorResult(
+        factors=factors,
+        max_share=max_share(popularities, factors),
+        iterations=iterations,
+        budget_used=used,
+        exhausted_budget=used >= budget,
+        grants=grants,
+        steals=steals,
+        elapsed_seconds=time.perf_counter() - started,
+    )
+
+
+def _push_block(receiver_heap, donor_heap, popularities, min_factors, factors,
+                block_id) -> None:
+    """Refresh both heaps after ``block_id``'s factor changed."""
+    count = factors[block_id]
+    heapq.heappush(receiver_heap, (-(popularities[block_id] / count), block_id, count))
+    if count > min_factors[block_id]:
+        heapq.heappush(
+            donor_heap, (popularities[block_id] / (count - 1), block_id, count)
+        )
+
+
+def _pop_second_donor(donor_heap, factors, min_factors):
+    """Next valid donor after skipping the heap head, or ``None``."""
+    while donor_heap:
+        post_share, block_id, stamp = heapq.heappop(donor_heap)
+        if stamp != factors[block_id] or factors[block_id] <= min_factors[block_id]:
+            continue
+        return (post_share, block_id)
+    return None

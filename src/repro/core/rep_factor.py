@@ -20,6 +20,16 @@ Implementation notes
   strictly shrinks the multiset of shares at the current maximum.
 * Factors are capped at ``|M|`` (a block cannot have two replicas on one
   machine).
+* The per-block set-up is numpy work over columns in ``popularities``
+  order: validation, start factors, the trim and the final maximum
+  share.  The receiver and donor queues are each a static run sorted
+  once with ``np.lexsort`` plus a small overlay heap for the entries
+  pushed after a factor changes, instead of a ``heapify``-ed list of one
+  tuple per block; a pop takes the smaller head, compared as the same
+  ``(key, block_id, stamp)`` tuples, so the pop order is exactly that of
+  one heap.  The heap transcription is kept as a test oracle,
+  :func:`repro.core.reference.reference_compute_replication_factors`.
+  The Theorem 8 guard above is unchanged.
 * :func:`verify_optimal_factors` checks the optimality certificate and is
   used by the tests.
 """
@@ -30,13 +40,18 @@ import heapq
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.core.instance import PlacementProblem
 from repro.errors import InvalidProblemError
 from repro.obs.registry import get_registry
 
 _LOG = logging.getLogger(__name__)
+
+# Static queue entries made into tuples at a time (see _Run).
+_CHUNK = 1024
 
 _REG = get_registry()
 _REPFACTOR_RUNS = _REG.counter(
@@ -103,7 +118,7 @@ def compute_replication_factors(
     Parameters
     ----------
     popularities:
-        ``P_i`` per block id.
+        ``P_i`` per (integer) block id.
     min_factors:
         ``k_low_i`` per block id (node-level reliability requirement).
     budget:
@@ -121,56 +136,75 @@ def compute_replication_factors(
     """
     started = time.perf_counter()
     block_ids = list(popularities)
-    if set(min_factors) != set(block_ids):
+    num_blocks = len(block_ids)
+    if min_factors.keys() != popularities.keys():
         raise InvalidProblemError("popularities and min_factors must share keys")
-    min_total = sum(min_factors.values())
+    mins = np.fromiter(
+        map(min_factors.__getitem__, block_ids), np.int64, num_blocks
+    )
+    min_total = int(mins.sum())
     if budget < min_total:
         raise InvalidProblemError(
             f"budget {budget} below the minimum replica total {min_total}"
         )
-    for block_id in block_ids:
-        if min_factors[block_id] < 1:
+    pops = np.fromiter(popularities.values(), np.float64, num_blocks)
+    bad = (mins < 1) | (mins > num_machines) | (pops < 0)
+    if bad.any():
+        row = int(bad.argmax())
+        block_id = block_ids[row]
+        if mins[row] < 1:
             raise InvalidProblemError(f"block {block_id}: min factor must be >= 1")
-        if min_factors[block_id] > num_machines:
+        if mins[row] > num_machines:
             raise InvalidProblemError(
                 f"block {block_id}: min factor exceeds machine count"
             )
-        if popularities[block_id] < 0:
-            raise InvalidProblemError(
-                f"block {block_id}: popularity must be non-negative"
-            )
+        raise InvalidProblemError(
+            f"block {block_id}: popularity must be non-negative"
+        )
 
-    factors: Dict[int, int] = {}
-    for block_id in block_ids:
-        start = (initial_factors or min_factors).get(block_id, min_factors[block_id])
-        factors[block_id] = max(min_factors[block_id], min(int(start), num_machines))
-    used = sum(factors.values())
+    factors = _start_factors(block_ids, mins, num_machines, initial_factors)
+    used = int(factors.sum())
     if used > budget:
         # Trim the lowest-share blocks back towards their minima until the
-        # starting point is feasible.
-        trim_order = sorted(
-            block_ids, key=lambda b: popularities[b] / factors[b]
-        )
-        for block_id in trim_order:
-            while used > budget and factors[block_id] > min_factors[block_id]:
-                factors[block_id] -= 1
-                used -= 1
+        # starting point is feasible: each block in stable share order
+        # gives up what the blocks before it left of the excess.
+        order = np.argsort(pops / factors, kind="stable")
+        slack = (factors - mins)[order]
+        taken = np.clip(used - budget - (np.cumsum(slack) - slack), 0, slack)
+        factors[order] -= taken
+        used -= int(taken.sum())
         if used > budget:
             raise InvalidProblemError("initial factors cannot fit the budget")
 
-    # Max-heap on per-replica popularity (receiver side); lazily refreshed.
-    def share(block_id: int) -> float:
-        return popularities[block_id] / factors[block_id]
+    ids = np.fromiter(block_ids, np.int64, num_blocks)
+    # Receivers by falling per-replica popularity, donors by rising
+    # post-steal share; ties to the lower block id, as tuples order.
+    receivers = _Run(-(pops / factors), ids, factors, np.arange(num_blocks))
+    donor = factors > mins
+    donors = _Run(
+        pops[donor] / (factors[donor] - 1), ids[donor], factors[donor],
+        np.flatnonzero(donor),
+    )
+    pop_of, min_of, current = pops.tolist(), mins.tolist(), factors.tolist()
 
-    receiver_heap = [(-share(b), b, factors[b]) for b in block_ids]
-    heapq.heapify(receiver_heap)
-    # Min-heap of donor shares after a hypothetical steal.
-    donor_heap = [
-        (popularities[b] / (factors[b] - 1), b, factors[b])
-        for b in block_ids
-        if factors[b] > min_factors[b]
-    ]
-    heapq.heapify(donor_heap)
+    def push(row: int) -> None:
+        """Queue ``row``'s entries after its factor changed."""
+        count = current[row]
+        popularity = pop_of[row]
+        block_id = block_ids[row]
+        receivers.push((-(popularity / count), block_id, count, row))
+        if count > min_of[row]:
+            donors.push((popularity / (count - 1), block_id, count, row))
+
+    def pop_donor() -> Optional[tuple]:
+        """The next donor entry that is current and above its minimum."""
+        entry = donors.pop()
+        while entry is not None:
+            _, _, stamp, row = entry
+            if stamp == current[row] and stamp > min_of[row]:
+                break
+            entry = donors.pop()
+        return entry
 
     iterations = 0
     grants = 0
@@ -181,62 +215,44 @@ def compute_replication_factors(
         # zero popularity) are dropped from consideration: the paper's
         # Lemma 7 lets the leftover budget flow to the next-hottest
         # blocks without affecting optimality.
-        receiver = None
-        while receiver_heap:
-            neg_share, block_id, stamp = heapq.heappop(receiver_heap)
-            if stamp != factors[block_id]:
-                continue
-            if factors[block_id] >= num_machines or neg_share == 0.0:
-                continue
-            receiver = block_id
+        entry = receivers.pop()
+        while entry is not None:
+            neg_share, _, stamp, row = entry
+            if stamp == current[row] and stamp < num_machines and neg_share != 0.0:
+                break
+            entry = receivers.pop()
+        if entry is None:
             break
-        if receiver is None:
-            break
-        current_max = share(receiver)
+        receiver = entry[3]
+        current_max = pop_of[receiver] / current[receiver]
         if used < budget:
-            factors[receiver] += 1
+            current[receiver] += 1
             used += 1
             iterations += 1
             grants += 1
-            _push_block(receiver_heap, donor_heap, popularities, min_factors,
-                        factors, receiver)
+            push(receiver)
             continue
         # Budget exhausted: steal from the donor with the smallest
         # post-steal share, provided that share stays strictly below the
         # current maximum.
-        donor = None
-        while donor_heap:
-            post_share, block_id, stamp = heapq.heappop(donor_heap)
-            if stamp != factors[block_id] or factors[block_id] <= min_factors[block_id]:
-                continue
-            if block_id == receiver:
-                # A block never donates to itself; re-queue and look deeper.
-                requeue = (post_share, block_id, stamp)
-                donor = _pop_second_donor(donor_heap, factors, min_factors)
-                heapq.heappush(donor_heap, requeue)
-                break
-            donor = (post_share, block_id)
+        entry = pop_donor()
+        if entry is not None and entry[3] == receiver:
+            # A block never donates to itself; re-queue and look deeper.
+            second = pop_donor()
+            donors.push(entry)
+            entry = second
+        if entry is None or entry[0] >= current_max:
+            # No donor, or the optimality certificate (Theorem 8): every
+            # possible steal raises some block to at least the current
+            # maximum.
             break
-        if donor is None:
-            heapq.heappush(
-                receiver_heap, (-current_max, receiver, factors[receiver])
-            )
-            break
-        post_share, donor_id = donor
-        if post_share >= current_max:
-            # Optimality certificate (Theorem 8): every possible steal
-            # raises some block to at least the current maximum.
-            heapq.heappush(receiver_heap, (-current_max, receiver, factors[receiver]))
-            heapq.heappush(donor_heap, (post_share, donor_id, factors[donor_id]))
-            break
-        factors[donor_id] -= 1
-        factors[receiver] += 1
+        donor_row = entry[3]
+        current[donor_row] -= 1
+        current[receiver] += 1
         iterations += 1
         steals += 1
-        _push_block(receiver_heap, donor_heap, popularities, min_factors,
-                    factors, donor_id)
-        _push_block(receiver_heap, donor_heap, popularities, min_factors,
-                    factors, receiver)
+        push(donor_row)
+        push(receiver)
 
     elapsed = time.perf_counter() - started
     capped = max_iterations is not None and iterations >= max_iterations
@@ -252,11 +268,12 @@ def compute_replication_factors(
     _LOG.debug(
         "rep-factor done blocks=%d iterations=%d grants=%d steals=%d "
         "budget_used=%d/%d elapsed=%.4fs",
-        len(block_ids), iterations, grants, steals, used, budget, elapsed,
+        num_blocks, iterations, grants, steals, used, budget, elapsed,
     )
+    final = np.array(current, dtype=np.int64)
     return RepFactorResult(
-        factors=factors,
-        max_share=max_share(popularities, factors),
+        factors=dict(zip(block_ids, current)),
+        max_share=float((pops / final).max()) if num_blocks else 0.0,
         iterations=iterations,
         budget_used=used,
         exhausted_budget=used >= budget,
@@ -266,25 +283,80 @@ def compute_replication_factors(
     )
 
 
-def _push_block(receiver_heap, donor_heap, popularities, min_factors, factors,
-                block_id) -> None:
-    """Refresh both heaps after ``block_id``'s factor changed."""
-    count = factors[block_id]
-    heapq.heappush(receiver_heap, (-(popularities[block_id] / count), block_id, count))
-    if count > min_factors[block_id]:
-        heapq.heappush(
-            donor_heap, (popularities[block_id] / (count - 1), block_id, count)
-        )
+def _start_factors(
+    block_ids: Sequence[int],
+    mins: np.ndarray,
+    num_machines: int,
+    initial_factors: Optional[Mapping[int, int]],
+) -> np.ndarray:
+    """``max(k_low, min(int(start), |M|))`` per block, ``start`` defaulting
+    to ``k_low``; raises what ``int()`` raises on a NaN or infinite start."""
+    if not initial_factors:
+        return mins.copy()  # validated to lie in [1, |M|]
+    starts = np.fromiter(
+        map(initial_factors.get, block_ids, mins.tolist()), np.float64,
+        len(block_ids),
+    )
+    finite = np.isfinite(starts)
+    if not finite.all():
+        int(starts[int(finite.argmin())])
+    # Clamping before the cast keeps int()'s truncation for every start.
+    return np.maximum(
+        mins, np.minimum(np.trunc(starts), num_machines)
+    ).astype(np.int64)
 
 
-def _pop_second_donor(donor_heap, factors, min_factors):
-    """Next valid donor after skipping the heap head, or ``None``."""
-    while donor_heap:
-        post_share, block_id, stamp = heapq.heappop(donor_heap)
-        if stamp != factors[block_id] or factors[block_id] <= min_factors[block_id]:
-            continue
-        return (post_share, block_id)
-    return None
+class _Run:
+    """A min-queue of ``(key, block_id, stamp, row)`` entries.
+
+    The entries given at construction form a static run, sorted once by
+    ``(key, block_id)`` with ``np.lexsort`` (block ids are unique, so
+    that is their full tuple order) and turned into tuples
+    ``_CHUNK`` at a time as the queue reaches them; entries pushed later
+    go to a small heap.  :meth:`pop` takes the smaller of the two heads,
+    so entries leave in exactly the order one heap holding all of them
+    would give.
+    """
+
+    __slots__ = ("_columns", "_size", "_chunk", "_chunk_start", "_next",
+                 "_heap")
+
+    def __init__(
+        self,
+        keys: np.ndarray,
+        ids: np.ndarray,
+        stamps: np.ndarray,
+        rows: np.ndarray,
+    ) -> None:
+        order = np.lexsort((ids, keys))
+        self._columns = [column[order] for column in (keys, ids, stamps, rows)]
+        self._size = order.size
+        self._chunk: List[tuple] = []
+        self._chunk_start = -1
+        self._next = 0  # static entries taken so far
+        self._heap: List[tuple] = []
+
+    def push(self, entry: tuple) -> None:
+        heapq.heappush(self._heap, entry)
+
+    def pop(self) -> Optional[tuple]:
+        """Remove and return the smallest entry, or ``None`` when empty."""
+        heap, index = self._heap, self._next
+        if index < self._size:
+            start = index - index % _CHUNK
+            if start != self._chunk_start:
+                self._chunk = list(zip(*(
+                    column[start:start + _CHUNK].tolist()
+                    for column in self._columns
+                )))
+                self._chunk_start = start
+            head = self._chunk[index - start]
+            if not heap or head <= heap[0]:
+                self._next = index + 1
+                return head
+        elif not heap:
+            return None
+        return heapq.heappop(heap)
 
 
 def factors_for_problem(

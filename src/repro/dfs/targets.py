@@ -277,8 +277,21 @@ class TargetIndex:
         return total
 
     def _scan_rack_load(self, rack: int) -> float:
-        load = self.load
-        return sum(load(node) for node in self._topology.machines_in_rack(rack))
+        """:meth:`load` summed over ``rack``, evaluated inline.
+
+        The same terms in the same member order as summing ``load(node)``,
+        so the float sum is bit-identical to it.
+        """
+        datanodes = self.datanodes
+        members = self._topology.machines_in_rack(rack)
+        vector = self._vector
+        if vector is None:
+            return sum(float(datanodes[node].used_blocks) for node in members)
+        weight = self._disk_weight
+        return sum(
+            vector[node] + weight * datanodes[node].used_blocks
+            for node in members
+        )
 
     def _scan_rack_order(self, rack: int) -> List[Tuple[float, int]]:
         accepts, load = self._accepts, self.load
@@ -323,11 +336,13 @@ class TargetIndex:
             assert sorted(self._keys.values()) == expected, (
                 "target index: key drift"
             )
+        load = self.load
         for rack, total in enumerate(self._rack_sums):
             if total is not None:
-                assert total == self._scan_rack_load(rack), (
-                    f"target index: rack {rack} load drift"
-                )
+                # Against load() itself, which the inline scan repeats.
+                assert total == sum(
+                    load(node) for node in self._topology.machines_in_rack(rack)
+                ), f"target index: rack {rack} load drift"
         rack_keys: Dict[int, Tuple[float, int]] = {}
         for rack, order in enumerate(self._rack_orders):
             if order is None:

@@ -397,12 +397,15 @@ def test_lazy_indexes_match_scans_under_mutation(seed, actions):
 def test_csr_is_read_only_and_shared_by_copies():
     state = _lazy_state(1)
     clone = state.copy()
-    for name in ("_csr_start", "_csr_share", "_csr_block"):
+    for name in ("_csr_start", "_csr_share", "_csr_block",
+                 "_holder_start", "_holder_machine"):
         array = getattr(state, name)
         assert not array.flags.writeable
         assert getattr(clone, name) is array
     state.share_index(0)
     assert clone._share_index[0] is None  # materialising is per state
+    state.replica_count(0)
+    assert 0 not in clone._machines_of
     clone.move_keeps_spread(0, 0, 1)
     assert 0 not in state._rack_holders
 
@@ -465,7 +468,8 @@ class TestStateBytes:
             problem, {0: (0, 2), 1: (1, 3)}
         )
         # Touch one index of each kind: machine 0's share list, machine
-        # 1's block set and block 0's rack holders.  Nothing else is built.
+        # 1's block set and block 0's rack holders (which builds its
+        # holder set).  Nothing else is built.
         state.share_index(0)
         state.blocks_on_view(1)
         state.rack_spread(0)
@@ -477,6 +481,8 @@ class TestStateBytes:
             + size(state._ext_hot) + size(state._ext_cold)
             + size(state._csr_start) + size(state._csr_share)
             + size(state._csr_block)
+            + size(state._holder_start) + size(state._holder_machine)
+            + size(state._block_row)
             + size(state._rack_members)
             + sum(size(members) for members in state._rack_members)
             + size(state._ext_dirty)
@@ -487,6 +493,7 @@ class TestStateBytes:
             + size(state._rack_holders) + size(state._rack_holders[0])
         )
         assert list(state._rack_holders) == [0]
+        assert list(state._machines_of) == [0]
         blocks_on = size(state._blocks_on) + size(state._blocks_on[1])
         assert [s is not None for s in state._blocks_on] == [
             False, True, False, False

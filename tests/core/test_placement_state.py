@@ -304,6 +304,15 @@ _BLOCK_IDS = st.sampled_from([*range(_NUM_BLOCKS)] * 4 + [_NUM_BLOCKS])
 _MACHINE_IDS = st.sampled_from(
     [*range(_NUM_MACHINES)] * 2 + [0, 1, 2] * 2 + [-1, _NUM_MACHINES]
 )
+# Mutations: (kind, block, other block, machine, other machine).
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["move", "swap", "add", "remove"]),
+        st.integers(0, _NUM_BLOCKS - 1), st.integers(0, _NUM_BLOCKS - 1),
+        st.integers(0, _NUM_MACHINES - 1), st.integers(0, _NUM_MACHINES - 1),
+    ),
+    max_size=12,
+)
 
 
 def _replay_add_replica(problem, assignment):
@@ -324,6 +333,47 @@ def _outcome(build):
         return None, exc
 
 
+def _mutate(state, mutation):
+    """Apply ``mutation`` if feasible; return what the predicates said."""
+    kind, block_i, block_j, m, n = mutation
+    if kind == "move":
+        feasible = state.can_move(block_i, m, n)
+        if feasible:
+            state.move(block_i, m, n)
+    elif kind == "swap":
+        feasible = state.can_swap(block_i, m, block_j, n)
+        if feasible:
+            state.swap(block_i, m, block_j, n)
+    elif kind == "add":
+        feasible = state.can_add(block_i, m)
+        if feasible:
+            state.add_replica(block_i, m)
+    else:
+        feasible = state.can_remove(block_i, m, enforce_min=False)
+        if feasible:
+            state.remove_replica(block_i, m, enforce_min=False)
+    return feasible
+
+
+def _assert_same_state(state, expected, every_index=True):
+    """Equal holders and bit-equal loads; with ``every_index``, also every
+    per-machine and per-block index (which builds them all)."""
+    assert state.to_assignment() == expected.to_assignment()
+    np.testing.assert_array_equal(state.loads(), expected.loads())
+    np.testing.assert_array_equal(state.rack_loads(), expected.rack_loads())
+    if not every_index:
+        return
+    for machine in state.topology.machines:
+        assert state.used_capacity(machine) == expected.used_capacity(machine)
+        assert list(state.share_index(machine)) == list(
+            expected.share_index(machine)
+        )
+    for spec in state.problem:
+        assert state.rack_spread(spec.block_id) == expected.rack_spread(
+            spec.block_id
+        )
+
+
 @given(
     capacity=st.integers(1, 2),
     pops=st.lists(
@@ -337,19 +387,30 @@ def _outcome(build):
                 st.lists(_MACHINE_IDS, max_size=3, unique=True),
                 st.lists(_MACHINE_IDS, max_size=3),
             ),
+            st.sampled_from([set, frozenset, list, tuple]),
         ),
         max_size=6,
         unique_by=lambda entry: entry[0],
     ),
+    mutations=_MUTATIONS,
 )
-@settings(max_examples=200, deadline=None)
-def test_from_assignment_matches_add_replica_replay(capacity, pops, entries):
-    """Same first error as the replay, or the same state when valid."""
+@settings(max_examples=300, deadline=None)
+def test_from_assignment_matches_add_replica_replay(
+    capacity, pops, entries, mutations
+):
+    """Same first error as the replay, or the same state when valid.
+
+    The caller's collections are sets, frozensets, lists or tuples, with
+    some blocks absent.  A valid build must then stay equal to the
+    replay, loads bit for bit, under a stream of mutations, and must
+    not alias the caller's collections or share holder sets with its
+    copies.
+    """
     topo = ClusterTopology.uniform(2, _NUM_MACHINES // 2, capacity)
     problem = PlacementProblem.from_popularities(
         topo, pops, replication_factor=1
     )
-    assignment = dict(entries)
+    assignment = {block: kind(machines) for block, machines, kind in entries}
     expected, expected_error = _outcome(
         lambda: _replay_add_replica(problem, assignment)
     )
@@ -361,15 +422,29 @@ def test_from_assignment_matches_add_replica_replay(capacity, pops, entries):
         assert str(error) == str(expected_error)
         return
     assert error is None
+    # Mutating the caller's collections leaves the state alone.
+    for block, holders in list(assignment.items()):
+        if isinstance(holders, (set, list)):
+            holders.clear()
+        else:
+            del assignment[block]
+    assignment[0] = {0, 1, 2}
+    # The replay's loads carry its per-add dilution; recomputing sums
+    # them in problem order, as the build does.
+    expected.recompute()
+    _assert_same_state(state, expected, every_index=False)
     state.audit()
-    assert state.to_assignment() == expected.to_assignment()
-    np.testing.assert_allclose(state.loads(), expected.loads(), atol=1e-9)
-    for machine in topo.machines:
-        assert state.used_capacity(machine) == expected.used_capacity(machine)
-        assert [b for _, b in state.share_index(machine)] == [
-            b for _, b in expected.share_index(machine)
-        ]
-    for spec in problem:
-        assert state.rack_spread(spec.block_id) == expected.rack_spread(
-            spec.block_id
-        )
+    for mutation in mutations:
+        assert _mutate(state, mutation) == _mutate(expected, mutation)
+        _assert_same_state(state, expected, every_index=False)
+    _assert_same_state(state, expected)
+    state.audit()
+    snapshot, loads = state.to_assignment(), state.loads()
+    clone = state.copy()
+    for mutation in mutations:
+        _mutate(clone, mutation[:1] + mutation[2:3] + mutation[1:2]
+                + mutation[4:] + mutation[3:4])
+    clone.audit()
+    assert state.to_assignment() == snapshot
+    np.testing.assert_array_equal(state.loads(), loads)
+    state.audit()
