@@ -8,22 +8,15 @@ order and classify the resulting access by network distance (node-local
 experiments measure.
 
 Reads are fault tolerant: the namenode's metadata can be *stale* (a
-replica holder can crash between heartbeats), so the client tries the
-preferred replica, discovers a dead or stale source by failing, backs
-off under a :class:`~repro.faults.retry.RetryPolicy`, and fails over to
-the next replica in preference order.  The full attempt trail is
-recorded on the :class:`ReadResult`.
-
-Reads are also *overload* tolerant when the cluster runs with the
-:mod:`repro.overload` wiring installed:
-
-* a replica whose bounded service queue sheds the request fails over
-  immediately (fail fast — no backoff, the queue said "no" right away);
-* per-node circuit breakers skip replicas that have been failing or
-  shedding, before spending an attempt on them;
-* hedged reads fire a second request at the next-best replica when the
-  chosen one's projected latency exceeds a budget, and the faster
-  response wins.
+replica holder can crash between heartbeats), so the client discovers a
+dead or stale source by trying it and fails over to the next replica in
+preference order.  The failover policy (breaker skips, backoff, which
+outcome counts what) is the walk in :mod:`repro.dfs.readwalk`, shared
+with the wire SDK; the full attempt trail is recorded on the
+:class:`ReadResult`.  With the :mod:`repro.overload` wiring installed,
+a replica's bounded queue can shed the read, and hedged reads fire a
+second request at the next-best replica when the chosen one's projected
+latency exceeds a budget; the faster response wins.
 """
 
 from __future__ import annotations
@@ -31,16 +24,13 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dfs.block import DEFAULT_MAX_BLOCK_SIZE, FileMeta
 from repro.dfs.datanode import Datanode
 from repro.dfs.namenode import Namenode
-from repro.errors import (
-    ChecksumError,
-    DatanodeUnavailableError,
-    OverloadSheddedError,
-)
+from repro.dfs.readwalk import FailoverReader, Outcome, Step
 from repro.faults.retry import RetryPolicy
 from repro.obs.registry import get_registry
 from repro.obs.tracer import get_tracer
@@ -52,22 +42,6 @@ __all__ = ["Locality", "ReadResult", "DfsClient"]
 
 _REG = get_registry()
 _TRACER = get_tracer()
-_FAILOVERS = _REG.counter(
-    "repro_dfs_read_failovers_total",
-    "Read attempts that failed over past a dead or stale replica source",
-)
-_READ_ERRORS = _REG.counter(
-    "repro_dfs_read_errors_total",
-    "Block reads that exhausted every replica candidate",
-)
-_SHED_READS = _REG.counter(
-    "repro_dfs_reads_shed_total",
-    "Read attempts shed by a bounded datanode service queue",
-)
-_BREAKER_SKIPS = _REG.counter(
-    "repro_dfs_breaker_skips_total",
-    "Replica candidates skipped because their circuit breaker was open",
-)
 _HEDGED = _REG.counter(
     "repro_dfs_hedged_reads_total",
     "Reads that fired a hedge request at a second replica",
@@ -75,10 +49,6 @@ _HEDGED = _REG.counter(
 _HEDGE_WINS = _REG.counter(
     "repro_dfs_hedge_wins_total",
     "Hedged reads where the second replica answered first",
-)
-_CHECKSUM_FAILURES = _REG.counter(
-    "repro_dfs_integrity_client_checksum_failures_total",
-    "Read attempts that detected a corrupt replica and failed over",
 )
 # End-to-end simulated read latency: queue wait+service of the serving
 # replica plus every backoff paid failing over to it.
@@ -107,8 +77,10 @@ class ReadResult:
     replica that turned out dead, stale, or shedding.  ``backoff`` is
     the total simulated wait the retry policy imposed between attempts.
     ``latency`` is the serving queue's wait-plus-service time (0 when
-    the node has no bounded queue installed), and ``hedged`` marks reads
-    that fired a second request at another replica.
+    the node has no bounded queue installed), ``hedged`` marks reads
+    that fired a second request at another replica, and ``failovers``
+    counts the failed attempts before the serving one (a hedge that won
+    is in ``attempts`` but is no failover).
     """
 
     block_id: int
@@ -118,6 +90,7 @@ class ReadResult:
     backoff: float = 0.0
     latency: float = 0.0
     hedged: bool = False
+    failovers: int = 0
 
     @property
     def is_local(self) -> bool:
@@ -130,7 +103,7 @@ class ReadResult:
         return len(self.attempts) > 1
 
 
-class DfsClient:
+class DfsClient(FailoverReader):
     """Thin client over a :class:`~repro.dfs.namenode.Namenode`."""
 
     def __init__(
@@ -142,27 +115,25 @@ class DfsClient:
         hedge_latency_budget: Optional[float] = None,
         trace_sampler: Optional[TraceSampler] = None,
     ) -> None:
+        # Bounds the failover walk; with no rng the backoff is
+        # jitter-free, so failover behaviour is fully deterministic.
+        # Per-node circuit breakers (see OverloadProtection.breakers())
+        # default to off.
+        super().__init__(
+            retry_policy or RetryPolicy(
+                max_attempts=4, base_delay=0.5, max_delay=5.0, jitter=0.1
+            ),
+            rng,
+            breakers,
+        )
         self.namenode = namenode
         # Head-based causal tracing: when set (and the tracer is on), a
         # sampled fraction of reads record a "dfs.read" span tree.
         self.trace_sampler = trace_sampler
-        # Bounds the failover walk; with no rng the backoff is
-        # jitter-free, so failover behaviour is fully deterministic.
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=4, base_delay=0.5, max_delay=5.0, jitter=0.1
-        )
-        self._rng = rng
-        # Per-node circuit breakers (see OverloadProtection.breakers())
-        # and the hedged-read latency budget; both default to off.
-        self.breakers = breakers
+        # The hedged-read latency budget; None turns hedging off.
         self.hedge_latency_budget = hedge_latency_budget
-        self.read_failovers = 0
-        self.read_errors = 0
-        self.reads_shed = 0
-        self.breaker_skips = 0
         self.hedged_reads = 0
         self.hedge_wins = 0
-        self.checksum_failures = 0
 
     def write_file(
         self,
@@ -187,18 +158,11 @@ class DfsClient:
         """Read one block, failing over across replicas as needed.
 
         Walks :meth:`~repro.dfs.namenode.Namenode.replica_preference`
-        (which reflects the namenode's possibly stale belief), skipping
-        sources whose circuit breaker is open, failing over past dead,
-        stale, shedding, or *corrupt* sources, backing off between
-        attempts (shed and corrupt reads fail over without backoff —
-        the node answered instantly, just not usefully).  Every served
-        read is checksum-verified: a mismatch is reported to the
-        namenode and never returned to the caller.  Raises
-        :class:`ChecksumError` when corruption was detected and no
-        replica could serve verified data, :class:`OverloadSheddedError`
-        when at least one replica shed and none served,
-        :class:`DatanodeUnavailableError` when every candidate fails or
-        the retry policy gives up first.
+        (which reflects the namenode's possibly stale belief) once
+        through the shared walk of :mod:`repro.dfs.readwalk`, which also
+        names the exceptions raised.  Every served read is
+        checksum-verified: a mismatch is reported to the namenode and
+        never returned to the caller.
 
         Sampled requests (``trace_sampler``) record a causal "dfs.read"
         span with one "dfs.read.attempt" child per replica contacted.
@@ -222,157 +186,46 @@ class DfsClient:
 
     def _read_block(self, block_id: int, reader: int,
                     span) -> ReadResult:
-        """The failover walk; ``span`` is the sampled root (or None)."""
-        tried: List[int] = []
-        waited = 0.0
-        failures = 0
-        shed_any = False
-        corrupt_any = False
+        """One pass of the shared walk; ``span`` is the sampled root."""
+        now = self.namenode.now
         candidates = list(self.namenode.replica_preference(block_id, reader))
-        for idx, node in enumerate(candidates):
-            breaker = self.breakers.get(node) if self.breakers else None
-            now = self.namenode.now
-            # Sim time stands still during the synchronous walk, but the
-            # modeled request timeline does not: attempt N starts after
-            # every backoff already paid.  Spans are anchored at
-            # ``now + waited`` so they tile inside the root span (whose
-            # duration is latency + total backoff).
-            began = now + waited
-            if breaker is not None and not breaker.allow(now):
-                # Tripped node: skip without spending an attempt on it.
-                self.breaker_skips += 1
-                if _REG.enabled:
-                    _BREAKER_SKIPS.inc()
-                if span is not None:
-                    skip = _TRACER.begin(
-                        "dfs.read.attempt", sim_time=began,
-                        parent=span.context, node=node,
-                        outcome="breaker_open",
-                    )
-                    _TRACER.finish(skip, end_sim=began)
-                continue
-            tried.append(node)
-            attempt = None
-            if span is not None:
-                attempt = _TRACER.begin(
-                    "dfs.read.attempt", sim_time=began,
-                    parent=span.context, node=node,
-                )
+
+        def attempt(node: int) -> Tuple[Outcome, int, Any]:
             dn = self.namenode.datanode(node)
-            if dn.alive and dn.holds(block_id):
-                outcome = self._serve(
-                    dn, block_id, now, candidates[idx + 1:]
-                )
-                if outcome is not None:
-                    serving, latency, hedged = outcome
-                    if serving != node:
-                        tried.append(serving)
-                    serving_dn = (
-                        dn if serving == dn.node_id
-                        else self.namenode.datanode(serving)
-                    )
-                    if not serving_dn.verify_replica(block_id):
-                        # The replica answered with bytes that fail the
-                        # checksum: report it, fail over without backoff
-                        # (the node responded promptly — its data is the
-                        # problem, not its health, so no breaker hit) and
-                        # never surface the corrupt data.
-                        corrupt_any = True
-                        self.checksum_failures += 1
-                        if _REG.enabled:
-                            _CHECKSUM_FAILURES.inc()
-                        self.namenode.report_corrupt_replica(
-                            block_id, serving, detector="client"
-                        )
-                        if attempt is not None:
-                            attempt.set(
-                                outcome="corrupt", served_by=serving,
-                            )
-                            _TRACER.finish(attempt, end_sim=began + latency)
-                        failures += 1
-                        self.read_failovers += 1
-                        if _REG.enabled:
-                            _FAILOVERS.inc()
-                        if not self.retry_policy.admits(failures, waited):
-                            break
-                        continue
-                    serving_breaker = (
-                        self.breakers.get(serving) if self.breakers else None
-                    )
-                    if serving_breaker is not None:
-                        serving_breaker.record_success(now)
-                    source = self.namenode.record_access(
-                        block_id, reader, source=serving
-                    )
-                    if _REG.enabled:
-                        _READ_LATENCY.observe(latency + waited)
-                    if attempt is not None:
-                        attempt.set(
-                            outcome="served", served_by=serving,
-                            latency=latency, hedged=hedged,
-                        )
-                        _TRACER.finish(attempt, end_sim=began + latency)
-                    return ReadResult(
-                        block_id=block_id,
-                        source=source,
-                        locality=self._classify(reader, source),
-                        attempts=tuple(tried),
-                        backoff=waited,
-                        latency=latency,
-                        hedged=hedged,
-                    )
-                # Shed by the bounded queue: fail over immediately, no
-                # backoff — waiting on a queue that refused us is wasted
-                # time, and the next replica may have headroom.
-                shed_any = True
-                self.reads_shed += 1
-                if _REG.enabled:
-                    _SHED_READS.inc()
-                if attempt is not None:
-                    attempt.set(outcome="shed")
-                    _TRACER.finish(attempt, end_sim=began)
-                if breaker is not None:
-                    breaker.record_failure(now)
-                failures += 1
-                self.read_failovers += 1
-                if _REG.enabled:
-                    _FAILOVERS.inc()
-                if not self.retry_policy.admits(failures, waited):
-                    break
-                continue
-            # Dead node or stale location: fail over to the next replica.
-            if breaker is not None:
-                breaker.record_failure(now)
-            failures += 1
-            self.read_failovers += 1
-            if _REG.enabled:
-                _FAILOVERS.inc()
-            if not self.retry_policy.admits(failures, waited):
-                if attempt is not None:
-                    attempt.set(outcome="failed", backoff=0.0)
-                    _TRACER.finish(attempt, end_sim=began)
-                break
-            delay = self.retry_policy.delay(failures, self._rng)
-            waited += delay
-            if attempt is not None:
-                attempt.set(outcome="failed", backoff=delay)
-                _TRACER.finish(attempt, end_sim=began + delay)
-        self.read_errors += 1
+            if not (dn.alive and dn.holds(block_id)):
+                return Outcome.UNREACHABLE, node, None
+            alternates = candidates[candidates.index(node) + 1:]
+            served = self._serve(dn, block_id, now, alternates)
+            if served is None:
+                return Outcome.SHED, node, None
+            serving, latency, hedged = served
+            if self.namenode.datanode(serving).verify_replica(block_id):
+                return Outcome.SERVED, serving, (latency, hedged)
+            # Never surface corrupt bytes: report them for repair.
+            self.namenode.report_corrupt_replica(
+                block_id, serving, detector="client"
+            )
+            return Outcome.CORRUPT, serving, (latency, hedged)
+
+        observe = None if span is None else partial(_trace_step, span, now)
+        served = self._walk(
+            block_id, [candidates], attempt, lambda: now, observe=observe
+        )
+        latency, hedged = served.detail
+        source = self.namenode.record_access(
+            block_id, reader, source=served.node
+        )
         if _REG.enabled:
-            _READ_ERRORS.inc()
-        if corrupt_any:
-            raise ChecksumError(
-                f"block {block_id}: no replica served verified data "
-                f"(tried {tried})"
-            )
-        if shed_any:
-            raise OverloadSheddedError(
-                f"block {block_id}: every replica shed or failed the read "
-                f"(tried {tried})"
-            )
-        raise DatanodeUnavailableError(
-            f"block {block_id}: no replica served the read "
-            f"(tried {tried or 'no candidates'})"
+            _READ_LATENCY.observe(latency + served.waited)
+        return ReadResult(
+            block_id=block_id,
+            source=source,
+            locality=self._classify(reader, source),
+            attempts=served.tried,
+            backoff=served.waited,
+            latency=latency,
+            hedged=hedged,
+            failovers=served.failures,
         )
 
     def _serve(
@@ -415,24 +268,11 @@ class DfsClient:
             # *winner*, and the primary's ``allow()`` may have consumed
             # a half-open probe that would otherwise never resolve,
             # leaving the breaker stuck open.
-            if self.breakers:
-                primary_breaker = self.breakers.get(dn.node_id)
-                if primary_breaker is not None:
-                    primary_breaker.record_success(now)
+            self._record(dn.node_id, True, now)
             return alt.node_id, alt_latency, True
-        if alt_latency is None:
-            # The hedge was shed: that is a real failure signal for the
-            # alternate's breaker.
-            if self.breakers:
-                alt_breaker = self.breakers.get(alt.node_id)
-                if alt_breaker is not None:
-                    alt_breaker.record_failure(now)
-        elif self.breakers:
-            # The hedge served but lost the race — still a successful
-            # service from the alternate's point of view.
-            alt_breaker = self.breakers.get(alt.node_id)
-            if alt_breaker is not None:
-                alt_breaker.record_success(now)
+        # A shed hedge is a real failure signal for the alternate's
+        # breaker; one that served but lost the race is still a success.
+        self._record(alt.node_id, alt_latency is not None, now)
         return dn.node_id, latency, True
 
     def _hedge_candidate(
@@ -451,11 +291,10 @@ class DfsClient:
         the primary read path's job.
         """
         for node in alternates:
-            if self.breakers:
-                breaker = self.breakers.get(node)
-                if (breaker is not None
-                        and breaker.state(now) is not BreakerState.CLOSED):
-                    continue
+            breaker = self._breaker(node)
+            if (breaker is not None
+                    and breaker.state(now) is not BreakerState.CLOSED):
+                continue
             dn = self.namenode.datanode(node)
             if not (dn.alive and dn.holds(block_id)):
                 continue
@@ -490,3 +329,32 @@ class DfsClient:
         if self.namenode.topology.same_rack(reader, source):
             return Locality.RACK_LOCAL
         return Locality.REMOTE
+
+
+def _trace_step(span, now: float, step: Step) -> None:
+    """Record one walk step as a "dfs.read.attempt" child of ``span``.
+
+    Sim time stands still during the synchronous walk, but the modeled
+    request timeline does not: a step is anchored at ``now`` plus every
+    backoff already paid, so the steps tile inside the root span (whose
+    duration is latency + total backoff).  A failed attempt spans its
+    backoff, a served or corrupt one its queue latency.
+    """
+    began = now + step.began
+    end = began + step.backoff
+    outcome = step.outcome
+    fields: Dict[str, Any] = {
+        "outcome": "breaker_open" if outcome is None else outcome.value,
+    }
+    if outcome is Outcome.SERVED or outcome is Outcome.CORRUPT:
+        latency, hedged = step.detail
+        fields["served_by"] = step.answered
+        if outcome is Outcome.SERVED:
+            fields.update(latency=latency, hedged=hedged)
+        end = began + latency
+    elif outcome is Outcome.UNREACHABLE:
+        fields["backoff"] = step.backoff
+    _TRACER.finish(_TRACER.begin(
+        "dfs.read.attempt", sim_time=began, parent=span.context,
+        node=step.node, **fields,
+    ), end_sim=end)

@@ -260,11 +260,6 @@ class HaCluster:
             raise NoLeaderError("no namenode replica holds a lease")
         return self._log
 
-    @property
-    def in_safemode(self) -> bool:
-        """Whether the current leader is still in safe mode."""
-        return self._namenode is not None and self._namenode.safe_mode
-
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> Namenode:

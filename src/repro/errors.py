@@ -33,7 +33,6 @@ __all__ = [
     "MetricsError",
     "FaultConfigError",
     "RetryExhaustedError",
-    "TransferFailedError",
     "OverloadConfigError",
     "OverloadSheddedError",
 ]
@@ -148,10 +147,6 @@ class FaultConfigError(ReproError):
 
 class RetryExhaustedError(ReproError):
     """An operation failed on every attempt a retry policy allowed."""
-
-
-class TransferFailedError(DfsError):
-    """A block transfer aborted mid-flight (injected or modelled fault)."""
 
 
 class OverloadConfigError(ReproError):

@@ -172,13 +172,6 @@ class OverloadStormResult(ScenarioResult):
             return 1.0
         return self.reads_within_slo / self.reads_attempted
 
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of attempted reads the client saw shed at least once."""
-        if self.reads_attempted == 0:
-            return 0.0
-        return self.reads_shed / self.reads_attempted
-
     def latency_percentile(self, q: float) -> float:
         """The q-th percentile of served-read latency (0 if no reads)."""
         if not self.latencies:

@@ -11,7 +11,7 @@ Determinism contract: ``run_experiment`` derives every random stream
 from ``config.seed``, so a case's result is a pure function of
 ``(trace, config)``.  Workers therefore produce results identical to a
 sequential loop over the same cases — the parallel/sequential equality
-is pinned by tests and the CI ``harness-perf`` job.
+is pinned by ``tests/experiments/test_runner.py``.
 
 Observability: each worker resets its own process-global metrics
 registry before its case, runs, and ships the registry snapshot back

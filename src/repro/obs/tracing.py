@@ -68,13 +68,6 @@ class TraceNode:
             return self.sim_duration
         return self.duration_seconds
 
-    @property
-    def self_seconds(self) -> float:
-        """Busy time not attributed to any child span."""
-        return max(
-            0.0, self.busy_seconds - sum(c.busy_seconds for c in self.children)
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,

@@ -155,10 +155,3 @@ class Job:
         if self.finish_time is None:
             raise SchedulerError(f"job {self.job_id} has not finished")
         return self.finish_time - self.submit_time
-
-    def remote_task_count(self) -> int:
-        """Finished or running tasks the paper counts as remote."""
-        return sum(
-            1 for t in self.tasks
-            if t.locality is not None and t.locality.is_remote
-        )

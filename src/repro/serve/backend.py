@@ -140,8 +140,7 @@ class SimBackend:
             data=data,
             source=result.source,
             address=f"sim://{result.source}",
-            attempts=max(1, len(result.attempts)),
-            failovers=max(0, len(result.attempts) - 1),
+            failovers=result.failovers,
             backoff=result.backoff,
             checksum=payload_checksum(data),
         )

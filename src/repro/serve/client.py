@@ -3,47 +3,22 @@ real sockets.
 
 A :class:`ServeClient` talks JSON-over-HTTP to one namenode (following
 leader redirects when that namenode is a standby) and raw bytes to the
-datanode processes.  The read path is a port of the simulated client's
-failover walk, so chaos behaves identically on the wire:
-
-* candidates come from the namenode in its ``replica_preference`` order
-  and are walked in order, skipping nodes whose circuit breaker is open;
-* a dead node (connection refused / reset / timeout) and a stale
-  location (404) cost a backoff before the next attempt;
-* an overload shed (503) and a corrupt read (checksum mismatch) fail
-  over *without* backoff — the node answered instantly, just not
-  usefully;
-* every served read is verified against the shipped checksum; a
-  mismatch is reported to the namenode (which quarantines the replica
-  and schedules repair) and never returned to the caller;
-* when one pass over the candidates is exhausted but the retry policy
-  still admits, the SDK re-fetches locations — re-replication may have
-  minted a fresh replica in the meantime;
-* exhaustion raises the same exceptions as the in-process client:
-  :class:`ChecksumError` when corruption was detected and never
-  bypassed, :class:`OverloadSheddedError` when at least one replica
-  shed and none served, :class:`DatanodeUnavailableError` otherwise.
-
-Backoffs are real ``time.sleep`` waits driven by the same
-:class:`~repro.faults.retry.RetryPolicy`; breakers are the same
-:class:`~repro.overload.breaker.CircuitBreaker` objects, fed wall-clock
-time.
+datanode processes.  Reads go through the same failover walk as the
+simulated client (:mod:`repro.dfs.readwalk`); this module supplies only
+the attempt — a refused connection or a 404 is unreachable, a 503 is a
+shed, a checksum mismatch is reported to the namenode as corrupt — and
+the wait, a real ``time.sleep``.  Breakers are fed wall-clock time.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    ChecksumError,
-    DatanodeUnavailableError,
-    DfsError,
-    NoLeaderError,
-    OverloadSheddedError,
-)
+from repro.dfs.readwalk import FailoverReader, Outcome
+from repro.errors import DatanodeUnavailableError, DfsError, NoLeaderError
 from repro.faults.retry import RetryPolicy
 from repro.overload.breaker import CircuitBreaker
 from repro.serve.httpd import HttpCallError, http_call
@@ -68,28 +43,21 @@ class BlockRead:
     data: bytes
     source: int
     address: str
-    attempts: int = 1
     failovers: int = 0
     backoff: float = 0.0
     checksum: int = 0
+
+    @property
+    def attempts(self) -> int:
+        """Replicas contacted: every failed attempt plus the served one."""
+        return self.failovers + 1
 
     @property
     def size(self) -> int:
         return len(self.data)
 
 
-@dataclass
-class _Walk:
-    """Accounting for one read's failover walk."""
-
-    tried: List[Tuple[int, str]] = field(default_factory=list)
-    failures: int = 0
-    waited: float = 0.0
-    shed_any: bool = False
-    corrupt_any: bool = False
-
-
-class ServeClient:
+class ServeClient(FailoverReader):
     """Synchronous SDK for the networked Aurora service."""
 
     def __init__(
@@ -102,22 +70,17 @@ class ServeClient:
         timeout: float = 10.0,
         max_redirects: int = 4,
     ) -> None:
+        super().__init__(
+            retry_policy or RetryPolicy(
+                max_attempts=6, base_delay=0.1, max_delay=2.0, jitter=0.1
+            ),
+            rng,
+            breakers,
+        )
         self.namenode_address = namenode_address
         self.reader = reader
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=6, base_delay=0.1, max_delay=2.0, jitter=0.1
-        )
-        self._rng = rng
-        self.breakers = breakers
         self.timeout = timeout
         self.max_redirects = max_redirects
-        # Mirrors of the in-process client's counters: failovers and
-        # sheds per failed attempt, errors per exhausted read.
-        self.read_failovers = 0
-        self.read_errors = 0
-        self.reads_shed = 0
-        self.breaker_skips = 0
-        self.checksum_failures = 0
 
     # -- namenode RPC ------------------------------------------------------
 
@@ -231,118 +194,62 @@ class ServeClient:
         ))
 
     def read_block(self, block_id: int) -> BlockRead:
-        """Read one block, failing over across replicas as needed."""
-        policy = self.retry_policy
-        walk = _Walk()
-        while True:
-            candidates = [
-                loc for loc in self.locate(block_id).candidates
-                if (loc.node, loc.address) not in walk.tried
-            ]
-            made_progress = False
-            for candidate in candidates:
-                if not policy.admits(walk.failures, walk.waited):
-                    break
-                breaker = (self.breakers or {}).get(candidate.node)
-                if breaker is not None and not breaker.allow(
-                    time.monotonic()
-                ):
-                    self.breaker_skips += 1
-                    continue
-                made_progress = True
-                result = self._attempt(block_id, candidate, walk)
-                if result is not None:
-                    result.failovers = walk.failures
-                    result.attempts = walk.failures + 1
-                    result.backoff = walk.waited
-                    return result
-            if not made_progress or not policy.admits(
-                walk.failures, walk.waited
-            ):
-                break
-            # One full pass failed but the policy still admits: the
-            # namenode may have repaired or re-replicated by now, so
-            # re-fetch locations and keep walking.
-            walk.tried.clear()
-        self.read_errors += 1
-        if walk.corrupt_any:
-            raise ChecksumError(
-                f"no replica of block {block_id} served verified data"
-            )
-        if walk.shed_any:
-            raise OverloadSheddedError(
-                f"every replica of block {block_id} shed the read"
-            )
-        raise DatanodeUnavailableError(
-            f"no replica of block {block_id} is reachable "
-            f"({walk.failures} failures)"
-        )
+        """Read one block through the shared failover walk.
 
-    def _attempt(
-        self,
-        block_id: int,
-        candidate: ReplicaLocation,
-        walk: _Walk,
-    ) -> Optional[BlockRead]:
-        """One read attempt; None means failed over (walk updated)."""
-        walk.tried.append((candidate.node, candidate.address))
-        breaker = (self.breakers or {}).get(candidate.node)
-        backoff = True
-        try:
-            status, body, headers = http_call(
-                candidate.address, "GET", f"/blocks/{block_id}",
-                timeout=self.timeout,
-            )
-        except HttpCallError:
-            status, body, headers = -1, b"", {}
-        if status == 200 and isinstance(body, bytes):
+        Each pass re-locates the block: between passes the namenode may
+        have repaired or re-replicated it.
+        """
+        addresses: Dict[int, str] = {}
+
+        def passes() -> Iterator[List[int]]:
+            while True:
+                located = self.locate(block_id).candidates
+                addresses.update((loc.node, loc.address) for loc in located)
+                yield [loc.node for loc in located]
+
+        def attempt(node: int) -> Tuple[Outcome, int, Any]:
+            try:
+                status, body, headers = http_call(
+                    addresses[node], "GET", f"/blocks/{block_id}",
+                    timeout=self.timeout,
+                )
+            except HttpCallError:
+                return Outcome.UNREACHABLE, node, None
+            if status == 503:
+                return Outcome.SHED, node, None
+            if status != 200 or not isinstance(body, bytes):
+                return Outcome.UNREACHABLE, node, None
             claimed = int(headers.get("x-repro-checksum", "-1"))
             if payload_checksum(body) == claimed:
-                if breaker is not None:
-                    breaker.record_success(time.monotonic())
-                self._report_access(block_id, candidate.node)
-                return BlockRead(
-                    block_id=block_id, data=body, source=candidate.node,
-                    address=candidate.address, checksum=claimed,
-                )
-            # Corrupt bytes: report (namenode quarantines + repairs),
-            # fail over immediately — the node answered fast, the next
-            # replica is the fix, waiting buys nothing.
-            self.checksum_failures += 1
-            walk.corrupt_any = True
-            backoff = False
-            self._report_corrupt(block_id, candidate.node)
-        elif status == 503:
-            walk.shed_any = True
-            self.reads_shed += 1
-            backoff = False
-        if breaker is not None:
-            breaker.record_failure(time.monotonic())
-        walk.failures += 1
-        self.read_failovers += 1
-        if backoff and self.retry_policy.admits(walk.failures, walk.waited):
-            delay = self.retry_policy.delay(walk.failures, self._rng)
-            time.sleep(delay)
-            walk.waited += delay
-        return None
+                return Outcome.SERVED, node, (body, claimed)
+            self._report(
+                block_id, "corrupt", {"node": node, "detector": "client"}
+            )
+            return Outcome.CORRUPT, node, None
 
-    def _report_access(self, block_id: int, source: int) -> None:
+        served = self._walk(
+            block_id, passes(), attempt, time.monotonic, wait=time.sleep
+        )
+        self._report(
+            block_id, "access",
+            {"reader": self.reader, "source": served.node},
+        )
+        data, checksum = served.detail
+        return BlockRead(
+            block_id=block_id, data=data, source=served.node,
+            address=addresses[served.node], failovers=served.failures,
+            backoff=served.waited, checksum=checksum,
+        )
+
+    def _report(self, block_id: int, what: str,
+                payload: Dict[str, Any]) -> None:
+        """POST a read's access or corruption report to the namenode."""
         try:
             self._namenode_call(
-                "POST", f"/v1/blocks/{block_id}/access",
-                {"reader": self.reader, "source": source},
+                "POST", f"/v1/blocks/{block_id}/{what}", payload
             )
         except (DfsError, HttpCallError):
             pass  # accounting is best-effort
-
-    def _report_corrupt(self, block_id: int, node: int) -> None:
-        try:
-            self._namenode_call(
-                "POST", f"/v1/blocks/{block_id}/corrupt",
-                {"node": node, "detector": "client"},
-            )
-        except (DfsError, HttpCallError):
-            pass
 
     # -- namespace / admin -------------------------------------------------
 

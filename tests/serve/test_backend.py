@@ -10,9 +10,15 @@ import random
 import pytest
 
 from repro.cluster.topology import ClusterTopology
+from repro.dfs.client import DfsClient
 from repro.dfs.namenode import Namenode
 from repro.dfs.policies import DefaultHdfsPolicy
 from repro.errors import BlockNotFoundError, FileNotFoundInDfsError
+from repro.overload.protection import (
+    OverloadConfig,
+    install_overload_protection,
+)
+from repro.overload.queueing import Priority
 from repro.serve.backend import DfsBackend, SimBackend
 from repro.serve.client import ServeClient
 from repro.serve.wire import FileInfo, payload_checksum
@@ -62,6 +68,32 @@ class TestSimBackendConformance:
         assert read.data == b"payload" * 10
         assert read.source != primary
         assert read.failovers >= 1
+
+    def test_hedge_win_is_not_a_failover(self):
+        # A hedge that wins adds its node to the attempt trail, but no
+        # attempt failed: failovers mean failed attempts, as on the wire.
+        backend = build_backend()
+        info = backend.write_file("/data/a", [b"payload" * 10])
+        block_id = info.blocks[0].block_id
+        protection = install_overload_protection(
+            backend.namenode, OverloadConfig(
+                queue_capacity=8, service_rate=1.0,
+                hedge_latency_budget=2.0,
+            )
+        )
+        backend.client = DfsClient(
+            backend.namenode, hedge_latency_budget=2.0
+        )
+        primary = backend.namenode.replica_preference(
+            block_id, backend.reader
+        )[0]
+        for _ in range(5):
+            protection.queues[primary].offer(0.0, Priority.CLIENT_READ)
+        read = backend.read_block(block_id)
+        assert backend.client.hedge_wins == 1
+        assert read.source != primary
+        assert (read.failovers, read.attempts) == (0, 1)
+        assert backend.client.read_failovers == 0
 
     def test_unknown_block_raises(self):
         backend = build_backend()
