@@ -11,9 +11,9 @@ recomputed every iteration.  It exists for two reasons:
   sequences (hence identical placements and final costs) to this module
   on every instance; ``tests/core/test_differential.py`` pins that.
 * **Benchmarking** — the solver-scale study
-  (:func:`repro.experiments.scale.run_solver_scale_study` and
-  ``benchmarks/test_search_scale.py``) measures the incremental engine's
-  speedup against this baseline.
+  (:func:`repro.experiments.scale.run_solver_scale_study`, ``repro scale
+  --solver``) measures the incremental engine's speedup against this
+  baseline.
 
 The only intentional difference from the historical solver is the
 inter-rack pair ordering: pairs are ranked by the load gap between the

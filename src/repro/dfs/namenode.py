@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import logging
 import random
+from collections import Counter
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -36,6 +37,7 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -63,7 +65,7 @@ from repro.errors import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.obs.registry import get_registry
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import TraceContext, get_tracer
 from repro.overload.queueing import Priority
 from repro.simulation.engine import Simulation
 
@@ -166,6 +168,36 @@ _QUARANTINED = _REG.gauge(
     "Replicas currently quarantined as corrupt",
 )
 
+#: Copy outcomes after which a copy chain backs off and tries again.
+_RETRIED = frozenset({"failed", "target_died", "target_full"})
+
+
+def _nothing() -> None:
+    return None
+
+
+class _CopyKind(NamedTuple):
+    """What sets a repair copy apart from a migration copy.
+
+    :meth:`Namenode._copy_replica` runs both; these are the rest.
+    ``seen`` is the chain's own record of nodes that failed it.
+    """
+
+    #: Traffic class of the transfer, ``kind`` of the copy span.
+    label: str
+    #: The copy span's parent, read at every attempt.
+    trace_parent: Callable[[], Optional[TraceContext]]
+    #: (block, source, target, seen, retrying): an attempt landed
+    #: nothing; ``retrying`` says whether a backoff and retry follow.
+    failed: Callable[[int, int, int, Set[int], bool], None]
+    #: (block, source, seen) after the backoff: the next attempt's
+    #: (source, target), or None to end the chain.
+    repick: Callable[[int, int, Set[int]], Optional[Tuple[int, int]]]
+    #: The chain ended without a landing.
+    end: Callable[[], None]
+    #: (block, source): the copy landed on its target.
+    landed: Callable[[int, int], None]
+
 
 class Namenode:
     """Metadata server of the simulated distributed file system."""
@@ -267,7 +299,7 @@ class Namenode:
         # Retry chains waiting out a backoff hold no _inflight entry but
         # still promise a copy; counting them stops a concurrent
         # replication check from over-replicating the block.
-        self._retry_pending: Dict[int, int] = {}
+        self._retry_pending: Counter[int] = Counter()
         self._queue_seq = 0
         self._repl_inflight = 0
         self._draining = False
@@ -299,6 +331,15 @@ class Namenode:
         self.replications_shed = 0
         self.migrations_deferred = 0
         self.migrations_shed = 0
+        # The two kinds of replica copy (see _copy_replica).
+        self._repair = _CopyKind(
+            "replication", self._recovery_context, self._repair_failed,
+            self._repair_repick, self._end_replication, self._repair_landed,
+        )
+        self._migration = _CopyKind(
+            "migration", _nothing, self._migration_failed,
+            self._migration_repick, _nothing, self._migration_landed,
+        )
 
     # -- time & liveness -------------------------------------------------------
 
@@ -701,15 +742,22 @@ class Namenode:
         if dn.free_blocks > 0:
             return
         for block_id in sorted(self._lazy.blocks_on(node)):
-            self._lazy.discard(block_id, node)
-            self.blockmap.remove_location(block_id, node)
-            dn.erase(block_id)
-            self.lazy_evictions += 1
-            if _REG.enabled:
-                _LAZY_EVICTIONS.inc()
+            self._evict_lazy(block_id, node)
             if dn.free_blocks > 0:
                 return
         raise CapacityExceededError(f"datanode {node} disk full")
+
+    def _evict_lazy(self, block_id: int, node: int) -> None:
+        """Delete a lazily deletable replica (a dead disk keeps its
+        bytes until the node's next block report)."""
+        self._lazy.discard(block_id, node)
+        self.blockmap.remove_location(block_id, node)
+        dn = self.datanodes[node]
+        if dn.alive:
+            dn.erase(block_id)
+        self.lazy_evictions += 1
+        if _REG.enabled:
+            _LAZY_EVICTIONS.inc()
 
     def _check_writable(self) -> None:
         """Raise :class:`SafeModeError` while safe mode or fencing is on."""
@@ -1031,15 +1079,19 @@ class Namenode:
             and not self.integrity.is_quarantined(block_id, node)
         ]
         active.sort(key=self.node_load, reverse=True)
+        # Active replicas per rack, kept current as replicas turn lazy.
+        rack_of = self.topology.rack_of
+        per_rack = Counter(rack_of[node] for node in active)
         for node in active:
             if count <= 0:
                 return
-            remaining = [n for n in active if n != node
-                         and (block_id, n) not in self._lazy]
-            racks = {self.topology.rack_of[n] for n in remaining}
-            if len(racks) < meta.rack_spread:
+            rack = rack_of[node]
+            if len(per_rack) - (per_rack[rack] == 1) < meta.rack_spread:
                 continue
             self._lazy.add(block_id, node)
+            per_rack[rack] -= 1
+            if not per_rack[rack]:
+                del per_rack[rack]
             count -= 1
 
     def replicate_block(
@@ -1050,13 +1102,11 @@ class Namenode:
 
         The target defaults to the least-loaded feasible node, preferring
         a new rack while the block is under its rack-spread target.
-        Returns False when no source or target exists.
-
-        A transfer that fails mid-flight (or lands on a node that died
-        or filled up meanwhile) is retried under :attr:`retry_policy`
-        with exponential backoff, preferring a source not yet tried and
-        re-picking the target; once the policy is exhausted the block is
-        pushed back onto the re-replication queue for the next check.
+        Returns False when no source or target exists.  The copy runs as
+        a repair chain of :meth:`_copy_replica`: a retry starts from a
+        source not yet tried to a re-picked target, and once the retry
+        policy is exhausted the block goes back onto the re-replication
+        queue for the next check.
         """
         meta = self.blockmap.meta(block_id)
         # Copy-from-verified-source: a quarantined replica would clone
@@ -1080,165 +1130,175 @@ class Namenode:
             self.replications_shed += 1
             return False
         self._repl_inflight += 1
-        self._start_replica_copy(
-            block_id, source, target, on_done,
-            attempt=1, tried=set(), waited=0.0,
-        )
+        self._copy_replica(self._repair, block_id, source, target, on_done,
+                           set())
         return True
 
-    def _start_replica_copy(
-        self, block_id: int, source: int, target: int,
-        on_done: Optional[Callable[[], None]],
-        attempt: int, tried: Set[int], waited: float,
+    def _copy_replica(
+        self, kind: _CopyKind, block_id: int, source: int, target: int,
+        on_done: Optional[Callable[[], None]], seen: Set[int],
+        attempt: int = 1, waited: float = 0.0,
     ) -> None:
-        """Issue one replication transfer attempt with retry wiring."""
-        meta = self.blockmap.meta(block_id)
+        """Copy one replica of ``block_id`` from ``source`` to ``target``.
+
+        The one chain behind repair and migration; ``kind`` holds what
+        differs, and ``docs/fault_tolerance.md`` ("Replica copies: one
+        chain, two kinds") states the rules.  A copy ends in one
+        outcome: ``failed`` when the transfer aborts, else the first of
+        :meth:`_landing_outcome`.  Every outcome but ``ok`` counts in
+        ``copies_discarded``; those in :data:`_RETRIED` back off and
+        retry while :attr:`retry_policy` admits it, the others end the
+        chain.
+        """
+        size = self.blockmap.meta(block_id).size
         self._inflight.add(block_id, target)
-        copy_span = None
+        span = None
         if _TRACER.enabled:
-            # Child of the open recovery episode, when there is one;
-            # the transfer below links under this copy span in turn.
-            copy_span = _TRACER.begin(
+            # The transfer below links under this copy span in turn.
+            span = _TRACER.begin(
                 "dfs.replica_copy", sim_time=self.now,
-                parent=(
-                    self._recovery_span.context
-                    if self._recovery_span is not None else None
-                ),
+                parent=kind.trace_parent(), kind=kind.label,
                 block=block_id, source=source, target=target,
                 attempt=attempt,
             )
 
-        def _finish_copy(outcome: str) -> None:
+        def settle(arrived: bool) -> None:
+            self._inflight.discard(block_id, target)
+            outcome = (self._landing_outcome(block_id, source, target)
+                       if arrived else "failed")
             if outcome != "ok":
                 self.copies_discarded += 1
                 if _REG.enabled:
                     _COPIES_DISCARDED.labels(reason=outcome).inc()
-            if copy_span is not None:
-                copy_span.set(outcome=outcome)
-                _TRACER.finish(copy_span, end_sim=self.now)
-
-        def handle_failure() -> None:
-            tried.add(source)
-            if (block_id not in self.blockmap
-                    or not self.retry_policy.admits(attempt, waited)):
-                self._abandon_replication(block_id)
+            if span is not None:
+                span.set(outcome=outcome)
+                _TRACER.finish(span, end_sim=self.now)
+            if outcome == "ok":
+                self.datanodes[target].store(block_id, size)
+                self.blockmap.add_location(block_id, target)
+                kind.landed(block_id, source)
+                if on_done is not None:
+                    on_done()
+                return
+            if outcome not in _RETRIED:
+                kind.end()
+                if outcome == "source_corrupt":
+                    # Quarantine the source; that requeues the repair
+                    # from a verified replica.
+                    self.report_corrupt_replica(
+                        block_id, source, detector="transfer"
+                    )
+                return
+            retrying = (block_id in self.blockmap
+                        and self.retry_policy.admits(attempt, waited))
+            kind.failed(block_id, source, target, seen, retrying)
+            if not retrying:
+                kind.end()
                 return
             delay = self.retry_policy.delay(attempt, self._rng)
             self.transfer_retries += 1
             if _REG.enabled:
                 _TRANSFER_RETRIES.inc()
             _LOG.info(
-                "replication of block %d from %d to %d failed "
-                "(attempt %d); retrying in %.1fs",
-                block_id, source, target, attempt, delay,
+                "%s of block %d from %d to %d ended %s (attempt %d); "
+                "retrying in %.1fs",
+                kind.label, block_id, source, target, outcome, attempt, delay,
             )
-            self._retry_pending[block_id] = (
-                self._retry_pending.get(block_id, 0) + 1
-            )
-            self._defer(delay, lambda: self._retry_replica_copy(
-                block_id, on_done, attempt + 1, tried, waited + delay,
-            ))
 
-        def failed() -> None:
-            self._inflight.discard(block_id, target)
-            _finish_copy("failed")
-            handle_failure()
+            def again() -> None:
+                pair = kind.repick(block_id, source, seen)
+                if pair is None:
+                    kind.end()
+                else:
+                    self._copy_replica(kind, block_id, *pair, on_done, seen,
+                                       attempt + 1, waited + delay)
 
-        def complete() -> None:
-            self._inflight.discard(block_id, target)
-            if block_id not in self.blockmap:
-                _finish_copy("block_deleted")
-                self._end_replication()
-                return
-            dn = self.datanodes[target]
-            if dn.holds(block_id):
-                _finish_copy("duplicate")
-                self._end_replication()
-                return
-            if not dn.alive:
-                # The bytes landed on a node that died mid-transfer.
-                _finish_copy("target_died")
-                handle_failure()
-                return
-            try:
-                self._ensure_space(target)
-            except CapacityExceededError:
-                _finish_copy("target_full")
-                handle_failure()
-                return
-            src_dn = self.datanodes[source]
-            if (src_dn.holds(block_id)
-                    and not src_dn.verify_replica(block_id)):
-                # In-flight checksum verification caught a rotten
-                # source (corrupted after it was chosen, or never yet
-                # detected): the copy is discarded rather than cloning
-                # the damage, and the report below quarantines the
-                # source and requeues the repair from a verified one.
-                _finish_copy("source_corrupt")
-                self._end_replication()
-                self.report_corrupt_replica(
-                    block_id, source, detector="transfer"
-                )
-                return
-            dn.store(block_id, meta.size)
-            self.blockmap.add_location(block_id, target)
-            self.replications_completed += 1
-            if _REG.enabled:
-                _REPLICATIONS.inc()
-            _finish_copy("ok")
-            self._end_replication()
-            self._note_recovery_progress()
-            self._sweep_corrupt(block_id)
-            if on_done is not None:
-                on_done()
+            self._defer(delay, again)
 
         self.transfers.transfer(
-            meta.size, source, target, complete,
+            size, source, target, lambda: settle(True),
             compression_ratio=self.movement_compression,
-            on_failure=failed,
-            kind="replication",
-            parent=(
-                copy_span.context if copy_span is not None else None
-            ),
+            on_failure=lambda: settle(False),
+            kind=kind.label,
+            parent=span.context if span is not None else None,
+            block_id=block_id,
         )
 
-    def _retry_replica_copy(
-        self, block_id: int, on_done: Optional[Callable[[], None]],
-        attempt: int, tried: Set[int], waited: float,
-    ) -> None:
-        """Retry a failed replication from a fresh source/target pair."""
-        pending = self._retry_pending.get(block_id, 0)
-        if pending <= 1:
-            self._retry_pending.pop(block_id, None)
-        else:
-            self._retry_pending[block_id] = pending - 1
+    def _landing_outcome(self, block_id: int, source: int, target: int) -> str:
+        """How a copy's bytes landed on ``target``: the first that holds
+        of ``block_deleted``, ``duplicate``, ``target_died``,
+        ``target_full`` (after evicting lazy replicas for room),
+        ``source_corrupt``, else ``ok``."""
         if block_id not in self.blockmap:
-            self._end_replication()
-            return
+            return "block_deleted"
+        dn = self.datanodes[target]
+        if dn.holds(block_id):
+            return "duplicate"
+        if not dn.alive:
+            return "target_died"  # it died while the bytes were in flight
+        try:
+            self._ensure_space(target)
+        except CapacityExceededError:
+            return "target_full"
+        src_dn = self.datanodes[source]
+        if src_dn.holds(block_id) and not src_dn.verify_replica(block_id):
+            # In-flight checksum verification caught a rotten source
+            # (corrupted after it was chosen, or never yet detected):
+            # the copy is discarded rather than cloning the damage.
+            return "source_corrupt"
+        return "ok"
+
+    def _recovery_context(self) -> Optional[TraceContext]:
+        """The open recovery episode's span context, if any."""
+        span = self._recovery_span
+        return span.context if span is not None else None
+
+    def _repair_failed(
+        self, block_id: int, source: int, target: int, tried: Set[int],
+        retrying: bool,
+    ) -> None:
+        tried.add(source)
+        if retrying:
+            self._retry_pending[block_id] += 1
+        else:
+            self._requeue_replication(block_id)
+
+    def _repair_repick(
+        self, block_id: int, source: int, tried: Set[int],
+    ) -> Optional[Tuple[int, int]]:
+        """A fresh verified source and a re-picked target, or None."""
+        self._retry_pending[block_id] -= 1
+        if not self._retry_pending[block_id]:
+            del self._retry_pending[block_id]
+        if block_id not in self.blockmap:
+            return None
         meta = self.blockmap.meta(block_id)
         sources = sorted(self.verified_locations(block_id))
-        if not sources:
-            self._abandon_replication(block_id)
-            return
+        target = (self._pick_replication_target(block_id, meta)
+                  if sources else None)
+        if target is None:
+            self._requeue_replication(block_id)
+            return None
         fresh = [s for s in sources if s not in tried]
         source = min(fresh or sources, key=self.transfers.active_transfers)
-        target = self._pick_replication_target(block_id, meta)
-        if target is None:
-            self._abandon_replication(block_id)
-            return
-        self._start_replica_copy(
-            block_id, source, target, on_done, attempt, tried, waited,
-        )
+        return source, target
 
-    def _abandon_replication(self, block_id: int) -> None:
-        """Give up on this retry chain; requeue for the next check."""
+    def _repair_landed(self, block_id: int, source: int) -> None:
+        self.replications_completed += 1
+        if _REG.enabled:
+            _REPLICATIONS.inc()
+        self._end_replication()
+        self._note_recovery_progress()
+        self._sweep_corrupt(block_id)
+
+    def _requeue_replication(self, block_id: int) -> None:
+        """A repair chain gave up; queue the block for the next check."""
         self.replications_requeued += 1
         if _REG.enabled:
             _REPL_REQUEUED.inc()
         _LOG.warning("replication of block %d abandoned; requeued", block_id)
         if block_id in self.blockmap:
             self._enqueue_replication(block_id)
-        self._end_replication()
 
     def _end_replication(self) -> None:
         """A replication chain finished; free its throttle slot."""
@@ -1288,16 +1348,14 @@ class Namenode:
 
         The block is first copied to ``dst``; only after the copy lands is
         the ``src`` replica deleted, so availability never dips.  Rack
-        spread is validated before starting.
-
-        When the copy fails mid-flight (or ``dst`` dies or fills up
-        before the bytes land), the migration *rolls back*: the source
-        replica was never touched, the partial copy is discarded, and —
-        while :attr:`retry_policy` admits it — the move is *re-targeted*
-        at the best alternate destination after a backoff.
+        spread is validated before starting.  The copy runs as a
+        migration chain of :meth:`_copy_replica`: a failed copy *rolls
+        back* for free (the source replica was never touched) and, while
+        :attr:`retry_policy` admits it, is *re-targeted* at the best
+        alternate destination after a backoff.
         """
         meta = self.blockmap.meta(block_id)
-        locations = self.blockmap.locations(block_id)
+        locations = self.blockmap.locations_view(block_id)
         if src not in locations:
             raise DfsError(f"block {block_id} has no replica on {src}")
         if self.integrity.is_quarantined(block_id, src):
@@ -1307,7 +1365,9 @@ class Namenode:
             return False
         if (block_id, dst) in self._inflight:
             return False
-        if not self._spread_ok_after_move(block_id, meta, src, dst):
+        kept = self._racks_kept(block_id, src)
+        if len(kept) + (self.topology.rack_of[dst] not in kept) \
+                < meta.rack_spread:
             return False
         if (self.admission is not None
                 and not self.admission.admit("migration", self.now)):
@@ -1320,132 +1380,65 @@ class Namenode:
                 self.now, Priority.MIGRATION) is None):
             self.migrations_shed += 1
             return False
-        self._start_migration(
-            block_id, src, dst, on_done,
-            attempt=1, failed_dsts=set(), waited=0.0,
-        )
+        self._copy_replica(self._migration, block_id, src, dst, on_done,
+                           set())
         return True
 
-    def _spread_ok_after_move(
-        self, block_id: int, meta: BlockMeta, src: int, dst: int
-    ) -> bool:
-        """Whether moving ``src`` -> ``dst`` keeps the rack spread."""
-        locations = self.blockmap.locations(block_id)
-        racks_after = {
-            self.topology.rack_of[n] for n in locations if n != src
+    def _racks_kept(self, block_id: int, src: int) -> Set[int]:
+        """Racks still holding ``block_id`` once ``src`` drops it."""
+        rack_of = self.topology.rack_of
+        return {
+            rack_of[n] for n in self.blockmap.locations_view(block_id)
+            if n != src
         }
-        racks_after.add(self.topology.rack_of[dst])
-        return len(racks_after) >= meta.rack_spread
 
-    def _start_migration(
-        self, block_id: int, src: int, dst: int,
-        on_done: Optional[Callable[[], None]],
-        attempt: int, failed_dsts: Set[int], waited: float,
+    def _migration_failed(
+        self, block_id: int, src: int, dst: int, failed_dsts: Set[int],
+        retrying: bool,
     ) -> None:
-        """Issue one migration copy attempt with rollback/retarget wiring."""
-        meta = self.blockmap.meta(block_id)
-        self._inflight.add(block_id, dst)
-
-        def handle_failure() -> None:
-            # Make-before-break means rollback is free: the source
-            # replica was never removed; only the copy is discarded.
-            failed_dsts.add(dst)
-            self.migration_rollbacks += 1
-            if _REG.enabled:
-                _MIGRATION_ROLLBACKS.inc()
-            _LOG.warning(
-                "migration of block %d from %d to %d failed (attempt %d); "
-                "rolled back",
-                block_id, src, dst, attempt,
-            )
-            if (block_id not in self.blockmap
-                    or not self.retry_policy.admits(attempt, waited)):
-                return
-            delay = self.retry_policy.delay(attempt, self._rng)
-            self.transfer_retries += 1
-            if _REG.enabled:
-                _TRANSFER_RETRIES.inc()
-            self._defer(delay, lambda: self._retry_migration(
-                block_id, src, on_done, attempt + 1, failed_dsts,
-                waited + delay,
-            ))
-
-        def failed() -> None:
-            self._inflight.discard(block_id, dst)
-            handle_failure()
-
-        def complete() -> None:
-            self._inflight.discard(block_id, dst)
-            if block_id not in self.blockmap:
-                return
-            dn = self.datanodes[dst]
-            if dn.holds(block_id):
-                return
-            if not dn.alive:
-                # Destination died while the bytes were in flight.
-                handle_failure()
-                return
-            try:
-                self._ensure_space(dst)
-            except CapacityExceededError:
-                handle_failure()
-                return
-            src_dn = self.datanodes[src]
-            if (src_dn.holds(block_id)
-                    and not src_dn.verify_replica(block_id)):
-                # The in-flight checksum caught a rotten source.  Make-
-                # before-break means nothing to roll back — the copy is
-                # discarded, the source quarantined, and re-replication
-                # from a verified replica owns the block from here.
-                self.report_corrupt_replica(
-                    block_id, src, detector="transfer"
-                )
-                return
-            dn.store(block_id, meta.size)
-            self.blockmap.add_location(block_id, dst)
-            if src in self.blockmap.locations(block_id):
-                self.blockmap.remove_location(block_id, src)
-                self._lazy.discard(block_id, src)
-                src_dn = self.datanodes[src]
-                if src_dn.alive and src_dn.holds(block_id):
-                    src_dn.erase(block_id)
-            self.moves_completed += 1
-            if _REG.enabled:
-                _MIGRATIONS.inc()
-            if on_done is not None:
-                on_done()
-
-        self.transfers.transfer(
-            meta.size, src, dst, complete,
-            compression_ratio=self.movement_compression,
-            on_failure=failed,
-            kind="migration",
+        # Make-before-break means rollback is free: the source replica
+        # was never removed; only the copy is discarded.
+        failed_dsts.add(dst)
+        self.migration_rollbacks += 1
+        if _REG.enabled:
+            _MIGRATION_ROLLBACKS.inc()
+        _LOG.warning(
+            "migration of block %d from %d to %d rolled back",
+            block_id, src, dst,
         )
 
-    def _retry_migration(
-        self, block_id: int, src: int,
-        on_done: Optional[Callable[[], None]],
-        attempt: int, failed_dsts: Set[int], waited: float,
-    ) -> None:
-        """Re-target a rolled-back migration at an alternate destination."""
+    def _migration_repick(
+        self, block_id: int, src: int, failed_dsts: Set[int],
+    ) -> Optional[Tuple[int, int]]:
+        """The same source and an alternate destination, or None."""
         if (block_id not in self.blockmap
-                or src not in self.blockmap.locations(block_id)
+                or src not in self.blockmap.locations_view(block_id)
                 or not self.datanodes[src].alive):
-            return  # the move is moot; replication repair owns the block
-        meta = self.blockmap.meta(block_id)
-        dst = self._pick_migration_target(block_id, meta, src, failed_dsts)
+            return None  # the move is moot; replication repair owns the block
+        dst = self._pick_migration_target(
+            block_id, self.blockmap.meta(block_id), src, failed_dsts
+        )
         if dst is None:
             _LOG.warning(
                 "migration of block %d off %d abandoned: "
                 "no alternate destination", block_id, src,
             )
-            return
+            return None
         self.migration_retargets += 1
         if _REG.enabled:
             _MIGRATION_RETARGETS.inc()
-        self._start_migration(
-            block_id, src, dst, on_done, attempt, failed_dsts, waited,
-        )
+        return src, dst
+
+    def _migration_landed(self, block_id: int, src: int) -> None:
+        if src in self.blockmap.locations_view(block_id):
+            self.blockmap.remove_location(block_id, src)
+            self._lazy.discard(block_id, src)
+            src_dn = self.datanodes[src]
+            if src_dn.alive and src_dn.holds(block_id):
+                src_dn.erase(block_id)
+        self.moves_completed += 1
+        if _REG.enabled:
+            _MIGRATIONS.inc()
 
     def _pick_migration_target(
         self, block_id: int, meta: BlockMeta, src: int,
@@ -1459,11 +1452,13 @@ class Namenode:
         holders = self.blockmap.locations_view(block_id)
         inflight = self._inflight.nodes_of(block_id)
         datanodes = self.datanodes
+        rack_of = self.topology.rack_of
+        kept = self._racks_kept(block_id, src)
         for node in self._targets.nodes():
             if (node in holders or node in exclude or node in inflight
                     or datanodes[node].holds(block_id)):
                 continue
-            if self._spread_ok_after_move(block_id, meta, src, node):
+            if len(kept) + (rack_of[node] not in kept) >= meta.rack_spread:
                 return node
         return None
 
@@ -1486,13 +1481,7 @@ class Namenode:
         started = 0
         for block_id in list(self.blockmap.blocks_on(node)):
             if (block_id, node) in self._lazy:
-                self._lazy.discard(block_id, node)
-                self.blockmap.remove_location(block_id, node)
-                if self.datanodes[node].alive:
-                    self.datanodes[node].erase(block_id)
-                self.lazy_evictions += 1
-                if _REG.enabled:
-                    _LAZY_EVICTIONS.inc()
+                self._evict_lazy(block_id, node)
                 continue
             meta = self.blockmap.meta(block_id)
             target = self._pick_replication_target(block_id, meta)

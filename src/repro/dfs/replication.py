@@ -150,6 +150,7 @@ class TransferService:
         on_failure: Optional[Callable[[], None]] = None,
         kind: str = "write",
         parent: Optional[TraceContext] = None,
+        block_id: Optional[int] = None,
     ) -> float:
         """Start a transfer; ``on_complete`` fires when the bytes land.
 
@@ -169,6 +170,9 @@ class TransferService:
         The span is committed immediately — the modelled duration is
         known upfront, so its simulated end is stamped as ``now +
         duration`` rather than waiting for the completion event.
+
+        ``block_id`` names the block moving; the model needs only its
+        size, a transport that moves real bytes needs the block.
         """
         if src == dst:
             raise DfsError("transfer endpoints must differ")

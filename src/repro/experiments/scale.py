@@ -11,8 +11,7 @@ The module also hosts the *solver* scale study
 (:func:`run_solver_scale_study`): the incremental local-search engine
 (:mod:`repro.core.local_search`) timed against the naive reference
 transcription (:mod:`repro.core.reference`) on growing instances, with
-an equality check on the results.  ``benchmarks/test_search_scale.py``
-runs the same sweep under the ``perf`` marker.
+an equality check on the results; ``repro scale --solver`` prints it.
 """
 
 from __future__ import annotations

@@ -4,18 +4,18 @@ The server hosts an actual :class:`~repro.dfs.namenode.Namenode` — the
 same namespace, block map, placement policies, replication queue,
 quarantine, and fsck machinery every simulation PR built — re-based from
 the simulation clock onto a :class:`WallClock`, with two surgical
-overrides that swap simulated data movement for real sockets:
+subclasses that swap simulated data movement for real sockets:
 
 * :class:`NetworkNamenode` allocates write targets without moving bytes
   (the *client* pushes them through the datanode write pipeline), and
   stamps a write grace so block-report reconciliation doesn't mistake an
   in-flight push for a lost replica;
-* :class:`NetworkTransferService` turns every replication transfer the
-  namenode's existing recovery machinery issues into a real
-  ``POST /admin/pull`` on the target datanode process — so heartbeat
-  expiry, the prioritized re-replication queue, retry-on-alternate-
-  source, and corrupt-source quarantine all run unmodified, just over
-  TCP.
+* :class:`NetworkTransferService` turns every replica copy the
+  namenode's copy chain issues, repair or migration, into a real
+  ``POST /admin/pull`` of that block on the target datanode process —
+  so heartbeat expiry, the prioritized re-replication queue, retry-on-
+  alternate-source, and corrupt-source quarantine all run unmodified,
+  just over TCP.
 
 Belief vs. reality: the in-process ``Datanode`` objects are the
 namenode's *belief* of the cluster, updated by registrations, block
@@ -47,7 +47,6 @@ from repro.dfs.fsck import run_fsck
 from repro.dfs.namenode import Namenode
 from repro.dfs.replication import TransferService
 from repro.errors import (
-    DatanodeUnavailableError,
     DfsError,
     InvalidProblemError,
     NoLeaderError,
@@ -147,15 +146,11 @@ class WallClock:
 
 
 class NetworkTransferService(TransferService):
-    """Replication transfers as real datanode-to-datanode pulls.
+    """Replica copies as real datanode-to-datanode pulls.
 
-    The namenode's recovery machinery calls
-    ``transfer(size, src, dst, on_complete, on_failure=...)`` knowing
-    only node ids and sizes; which *block* is moving lives one frame up
-    in :meth:`Namenode._start_replica_copy`.  :class:`NetworkNamenode`
-    stages the block id immediately before delegating, and this
-    service pops it — the calls are back-to-back in a single-threaded
-    event loop, so the hand-off cannot interleave.
+    Every repair and migration copy the namenode's copy chain issues
+    becomes ``pull_fn(block_id, src, dst, done)``, where ``done(outcome:
+    str)`` reports how the pull ended.
     """
 
     def __init__(
@@ -164,12 +159,7 @@ class NetworkTransferService(TransferService):
         pull_fn: Callable[..., None],
     ) -> None:
         super().__init__(topology, sim=None, jitter=0.0)
-        # fn(block_id, src, dst, done) where done(outcome: str).
         self._pull_fn = pull_fn
-        self._staged_block: Optional[int] = None
-
-    def stage_block(self, block_id: int) -> None:
-        self._staged_block = block_id
 
     def transfer(
         self,
@@ -181,21 +171,15 @@ class NetworkTransferService(TransferService):
         on_failure: Optional[Callable[[], None]] = None,
         kind: str = "write",
         parent=None,
+        block_id: Optional[int] = None,
     ) -> float:
-        block_id, self._staged_block = self._staged_block, None
-        if block_id is None:
-            raise DfsError(
-                "network transfer issued without a staged block "
-                f"(kind={kind}) — only replication pulls are supported"
-            )
         self.transfers_started += 1
-        self._active[src] = self._active.get(src, 0) + 1
-        self._active[dst] = self._active.get(dst, 0) + 1
+        self._hold(src, dst)
         started = time.monotonic()
 
         def done(outcome: str) -> None:
-            self._active[src] -= 1
-            self._active[dst] -= 1
+            self._release(src)
+            self._release(dst)
             if outcome == "ok":
                 elapsed = time.monotonic() - started
                 self.durations.append(elapsed)
@@ -229,26 +213,10 @@ class NetworkNamenode(Namenode):
     def _write_replica(
         self, meta: BlockMeta, node: int, source: Optional[int]
     ) -> None:
-        # Allocation only — the client pushes the bytes through the
-        # datanode write pipeline; no simulated transfer is issued.
-        dn = self.datanodes[node]
-        if not dn.alive:
-            raise DatanodeUnavailableError(f"datanode {node} is down")
-        self._ensure_space(node)
-        dn.store(meta.block_id, meta.size)
-        self.blockmap.add_location(meta.block_id, node)
+        # Allocation only (no pipeline hop): the client pushes the
+        # bytes through the datanode write pipeline.
+        super()._write_replica(meta, node, source=None)
         self.pending_writes[(meta.block_id, node)] = self.now
-
-    def _start_replica_copy(
-        self, block_id: int, source: int, target: int, on_done,
-        attempt: int, tried: Set[int], waited: float,
-    ) -> None:
-        transfers = self.transfers
-        if isinstance(transfers, NetworkTransferService):
-            transfers.stage_block(block_id)
-        super()._start_replica_copy(
-            block_id, source, target, on_done, attempt, tried, waited,
-        )
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""Namenode resilience: retry-on-alternate-source, the prioritized
-throttled re-replication queue, migration rollback/retarget, and the
-heartbeat paths that feed them."""
+"""Namenode resilience: the replica-copy chain's outcomes for repair and
+migration, retry-on-alternate-source, the prioritized throttled
+re-replication queue, migration rollback/retarget, and the heartbeat
+paths that feed them."""
 
 import random
 
@@ -45,7 +46,94 @@ def registry():
     obs.disable()
 
 
+KINDS = ["repair", "migration"]
+#: Per kind: the namenode counter and registry series of landed copies.
+LANDED = {
+    "repair": ("replications_completed", "repro_dfs_replications_total"),
+    "migration": ("moves_completed", "repro_dfs_migrations_total"),
+}
+
+
+def start_copy(namenode, kind, block, src, dst):
+    """Start one copy chain of ``kind`` from ``src`` to ``dst``."""
+    if kind == "repair":
+        return namenode.replicate_block(block, target=dst)
+    return namenode.move_block(block, src, dst)
+
+
+def fill(namenode, node, count):
+    for index in range(count):
+        namenode.create_file(f"/fill{node}.{index}", 1, writer=node,
+                             replication=1, rack_spread=1)
+
+
+#: How to make a copy from node 0 to node 3 end in each outcome, set
+#: up after the copy started and before its bytes land.
+OUTCOMES = {
+    "ok": lambda nn, block: None,
+    "failed": None,  # the transfer aborts; set up before the start
+    "block_deleted": lambda nn, block: nn.delete_file("/a"),
+    "duplicate": lambda nn, block: (
+        nn.datanodes[3].store(block, BLOCK_SIZE),
+        nn.blockmap.add_location(block, 3),
+    ),
+    "target_died": lambda nn, block: nn.datanode(3).crash(),
+    "target_full": lambda nn, block: fill(nn, 3, 3),
+    "source_corrupt": lambda nn, block: nn.datanodes[0].corrupt_replica(
+        block
+    ),
+}
+RETRIED = {"failed", "target_died", "target_full"}
+
+
 class TestDiscardedCopies:
+    @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copy_outcome(self, registry, kind, outcome):
+        """Every copy outcome, once per kind, with its counters."""
+        sim = Simulation()
+        namenode, _client = build(racks=2, per_rack=2, capacity=3, sim=sim)
+        block = namenode.create_file(
+            "/a", 1, block_size=BLOCK_SIZE, writer=0, replication=1,
+            rack_spread=1,
+        ).block_ids[0]
+        if outcome == "failed":
+            aborts = iter([0.5])  # only the first transfer aborts
+            namenode.transfers.fault_hook = lambda *_: next(aborts, None)
+        assert start_copy(namenode, kind, block, 0, 3)
+        if OUTCOMES[outcome] is not None:
+            OUTCOMES[outcome](namenode, block)
+        sim.run()
+
+        discarded = registry.get("repro_dfs_replica_copies_discarded_total")
+        expected = 0 if outcome == "ok" else 1
+        assert namenode.copies_discarded == expected
+        if outcome != "ok":
+            assert discarded.labels(reason=outcome).value == 1
+        retried = outcome in RETRIED
+        landed = outcome == "ok" or retried
+        assert namenode.transfer_retries == int(retried)
+        attribute, series = LANDED[kind]
+        assert getattr(namenode, attribute) == int(landed)
+        assert registry.get(series).value == int(landed)
+        if kind == "repair":
+            # Every end of a repair chain frees its throttle slot.
+            assert namenode._repl_inflight == 0
+            assert not namenode._retry_pending
+        else:
+            assert namenode.migration_rollbacks == int(retried)
+            assert namenode.migration_retargets == int(retried)
+            if outcome != "block_deleted":
+                # Make-before-break: the source goes only after a landing.
+                locations = namenode.blockmap.locations(block)
+                assert (0 in locations) is not landed
+                if retried:  # re-targeted away from the failed node
+                    assert 3 not in locations
+        if outcome == "source_corrupt":
+            assert namenode.integrity.is_quarantined(block, 0)
+        assert not list(namenode._inflight)
+        namenode.audit()
+
     def test_two_copies_into_one_free_slot_discard_one(self, registry):
         sim = Simulation()
         namenode, _client = build(racks=2, per_rack=2, capacity=3, sim=sim)
@@ -120,6 +208,35 @@ class TestRetryOnAlternateSource:
         assert len(namenode.blockmap.live_locations(block, live)) == 3
         namenode.audit()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exhausted_policy_ends_the_chain(self, kind):
+        sim = Simulation()
+        namenode, _client = build(
+            sim=sim,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=1.0,
+                                     jitter=0.0),
+        )
+        block = namenode.create_file(
+            "/a", 1, block_size=BLOCK_SIZE, writer=0, replication=1,
+            rack_spread=1,
+        ).block_ids[0]
+        namenode.transfers.fault_hook = lambda size, src, dst: 0.5
+        assert start_copy(namenode, kind, block, 0, 3)
+        sim.run()
+
+        assert namenode.copies_discarded == 2
+        assert namenode.transfer_retries == 1
+        assert getattr(namenode, LANDED[kind][0]) == 0
+        assert namenode.blockmap.locations(block) == {0}
+        if kind == "repair":
+            assert namenode.replications_requeued == 1
+            assert namenode._repl_inflight == 0
+        else:
+            assert namenode.migration_rollbacks == 2
+            assert namenode.migration_retargets == 1
+            assert namenode.replications_requeued == 0
+        namenode.audit()
+
 
 class TestReplicationQueue:
     def test_throttle_bounds_concurrent_repairs(self):
@@ -188,24 +305,6 @@ class TestMigrationRecovery:
         dst = sorted(namenode.live_nodes() - holders)[0]
         return namenode, block, src, dst
 
-    def test_failed_migration_rolls_back_and_retargets(self):
-        sim = Simulation()
-        namenode, block, src, dst = self._setup(sim)
-        namenode.transfers.fault_hook = (
-            lambda size, s, d: 0.5 if d == dst else None
-        )
-        assert namenode.move_block(block, src, dst)
-        sim.run()
-        assert namenode.migration_rollbacks == 1
-        assert namenode.migration_retargets == 1
-        assert namenode.transfer_retries == 1
-        assert namenode.moves_completed == 1
-        locations = namenode.blockmap.locations(block)
-        assert src not in locations          # the move eventually landed
-        assert dst not in locations          # but never on the bad target
-        assert len(locations) == 2
-        namenode.audit()
-
     def test_exhausted_policy_rolls_back_without_retarget(self):
         sim = Simulation()
         namenode, block, src, dst = self._setup(
@@ -222,20 +321,6 @@ class TestMigrationRecovery:
         assert namenode.migration_retargets == 0
         assert namenode.moves_completed == 0
         assert set(namenode.blockmap.locations(block)) == before
-        namenode.audit()
-
-    def test_destination_dying_mid_copy_rolls_back(self):
-        sim = Simulation()
-        namenode, block, src, dst = self._setup(sim)
-        assert namenode.move_block(block, src, dst)
-        namenode.datanode(dst).crash()  # dies while the bytes fly
-        sim.run()
-        assert namenode.migration_rollbacks == 1
-        assert namenode.migration_retargets == 1
-        assert namenode.moves_completed == 1
-        locations = namenode.blockmap.locations(block)
-        assert src not in locations
-        assert dst not in locations
         namenode.audit()
 
     def test_move_from_non_holder_rejected(self):
