@@ -28,7 +28,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_result
 from repro import obs
 from repro.experiments.bitrot import BitRotConfig, run_bit_rot
 from repro.experiments.chaos import (
@@ -49,6 +48,7 @@ from repro.obs.telemetry import TelemetryBundle, TelemetrySession
 
 pytestmark = pytest.mark.bench
 
+RESULTS = Path(__file__).parent / "results"
 BASELINE = Path(__file__).parent / "baselines" / "metrics_baseline.json"
 LEADERKILL_BASELINE = (
     Path(__file__).parent / "baselines" / "metrics_baseline_leaderkill.json"
@@ -122,7 +122,7 @@ def write_gate_result(name: str, summary, violations) -> None:
     lines.append("")
     lines.append(f"violations: {len(violations)}")
     lines.extend(str(v) for v in violations)
-    write_result(name, "\n".join(lines))
+    (RESULTS / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def gate_config() -> ChaosConfig:

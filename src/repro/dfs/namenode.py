@@ -1144,7 +1144,8 @@ class Namenode:
         The one chain behind repair and migration; ``kind`` holds what
         differs, and ``docs/fault_tolerance.md`` ("Replica copies: one
         chain, two kinds") states the rules.  A copy ends in one
-        outcome: ``failed`` when the transfer aborts, else the first of
+        outcome: ``failed`` when the transfer aborts (or the outcome a
+        transport that verifies in flight reports), else the first of
         :meth:`_landing_outcome`.  Every outcome but ``ok`` counts in
         ``copies_discarded``; those in :data:`_RETRIED` back off and
         retry while :attr:`retry_policy` admits it, the others end the
@@ -1162,10 +1163,10 @@ class Namenode:
                 attempt=attempt,
             )
 
-        def settle(arrived: bool) -> None:
+        def settle(arrived: bool, refused: str = "failed") -> None:
             self._inflight.discard(block_id, target)
             outcome = (self._landing_outcome(block_id, source, target)
-                       if arrived else "failed")
+                       if arrived else refused)
             if outcome != "ok":
                 self.copies_discarded += 1
                 if _REG.enabled:
@@ -1218,7 +1219,7 @@ class Namenode:
         self.transfers.transfer(
             size, source, target, lambda: settle(True),
             compression_ratio=self.movement_compression,
-            on_failure=lambda: settle(False),
+            on_failure=lambda refused="failed": settle(False, refused),
             kind=kind.label,
             parent=span.context if span is not None else None,
             block_id=block_id,

@@ -147,7 +147,7 @@ class TransferService:
         dst: int,
         on_complete: Callable[[], None],
         compression_ratio: Optional[float] = None,
-        on_failure: Optional[Callable[[], None]] = None,
+        on_failure: Optional[Callable[..., None]] = None,
         kind: str = "write",
         parent: Optional[TraceContext] = None,
         block_id: Optional[int] = None,
@@ -162,7 +162,9 @@ class TransferService:
         When the ``fault_hook`` decides this transfer fails mid-flight,
         only a fraction of the duration elapses, the bytes are counted
         as wasted rather than transferred, and ``on_failure`` (when
-        given) fires instead of ``on_complete``.
+        given) fires instead of ``on_complete``.  It fires with no
+        argument; a transport whose target verifies the bytes in flight
+        passes ``"source_corrupt"`` when the target refused them.
 
         ``parent`` links the transfer into a causal trace across the
         event boundary (re-replication episodes, traced period replays);
@@ -207,11 +209,7 @@ class TransferService:
                     self.sim.now + duration if self.sim is not None else None
                 ),
             )
-        self.durations.append(duration)
-        self.bytes_transferred += size
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-        if _REG.enabled:
-            _BYTES_BY_KIND.labels(kind=kind).inc(size)
+        self._land(size, kind, duration)
         if self.sim is None:
             on_complete()
             return duration
@@ -224,6 +222,14 @@ class TransferService:
 
         self.sim.schedule(duration, finish)
         return duration
+
+    def _land(self, size: int, kind: str, duration: float) -> None:
+        """Account a completed transfer of ``size`` bytes of ``kind``."""
+        self.durations.append(duration)
+        self.bytes_transferred += size
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+        if _REG.enabled:
+            _BYTES_BY_KIND.labels(kind=kind).inc(size)
 
     def _fail(
         self,

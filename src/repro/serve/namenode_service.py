@@ -150,7 +150,9 @@ class NetworkTransferService(TransferService):
 
     Every repair and migration copy the namenode's copy chain issues
     becomes ``pull_fn(block_id, src, dst, done)``, where ``done(outcome:
-    str)`` reports how the pull ended.
+    str)`` reports how the pull ended: ``ok``, ``source-corrupt`` when
+    the target's in-flight verification refused the source's bytes, or
+    any other string for a failed pull.
     """
 
     def __init__(
@@ -168,7 +170,7 @@ class NetworkTransferService(TransferService):
         dst: int,
         on_complete: Callable[[], None],
         compression_ratio: Optional[float] = None,
-        on_failure: Optional[Callable[[], None]] = None,
+        on_failure: Optional[Callable[..., None]] = None,
         kind: str = "write",
         parent=None,
         block_id: Optional[int] = None,
@@ -181,17 +183,16 @@ class NetworkTransferService(TransferService):
             self._release(src)
             self._release(dst)
             if outcome == "ok":
-                elapsed = time.monotonic() - started
-                self.durations.append(elapsed)
-                self.bytes_transferred += size
-                self.bytes_by_kind[kind] = (
-                    self.bytes_by_kind.get(kind, 0) + size
-                )
+                self._land(size, kind, time.monotonic() - started)
                 on_complete()
+                return
+            self.transfers_failed += 1
+            if on_failure is None:
+                return
+            if outcome == "source-corrupt":
+                on_failure("source_corrupt")
             else:
-                self.transfers_failed += 1
-                if on_failure is not None:
-                    on_failure()
+                on_failure()
 
         self._pull_fn(block_id, src, dst, done)
         return 0.0
@@ -319,15 +320,11 @@ class NamenodeServer:
                 )
             if _REG.enabled:
                 _PULLS_ISSUED.labels(outcome=outcome).inc()
-            if outcome == "source-corrupt":
-                # In-flight verification caught a rotten source: the
-                # target refused to clone it.  Quarantine the source
-                # (which requeues repair from a verified replica) and
-                # let the retry chain pick another source.
-                self.namenode.report_corrupt_replica(
-                    block_id, src, detector="transfer"
-                )
-            done("ok" if outcome == "ok" else "failed")
+            # A source-corrupt pull ends the copy chain as the
+            # simulator's ``source_corrupt`` landing does: the chain
+            # quarantines the source, which requeues the repair from a
+            # verified replica.
+            done(outcome)
 
         asyncio.ensure_future(go())
 

@@ -1,8 +1,8 @@
 """Seeded overload storm: the end-to-end acceptance scenario, shrunk.
 
 Runs the protected/unprotected A/B pair at 1.5x capacity on a short
-horizon.  The full-length sweep (with committed results) lives in
-``benchmarks/test_overload.py``; this standalone suite keeps the same
+horizon.  The full four-load sweep is the ``overload.*`` claims of
+``benchmarks/claims.py``; this standalone suite keeps the same
 qualitative claims cheap enough for CI (``pytest -m overload``).
 """
 

@@ -21,7 +21,9 @@ ROOTS = ("repro.__main__", "repro.cli")
 ALLOWED_UNREACHED = {
     "repro.core.exact": "MILP oracle the tests check the solver against",
     "repro.obs.gate": "CI metrics-regression gate, run from benchmarks/",
-    "repro.experiments.multitenant": "documented experiment E17",
+    "repro.experiments.multitenant": (
+        "experiment E17, a claim driver of benchmarks/claims.py"
+    ),
 }
 
 #: CLI helpers whose first argument names a ``repro.experiments`` module.
