@@ -7,14 +7,13 @@ check — so a disabled registry adds one attribute read per run to the
 algorithm.  There is no uninstrumented build to diff against, so the
 measurable contract is relative: a disabled run must not be slower
 than an enabled run (which pays the full flush), and even the enabled
-flush must stay far below the 5% acceptance budget.  The interleaved
-medians are recorded in ``results/obs_overhead.txt`` so history shows
-the absolute gap.
+flush must stay far below the 5% acceptance budget.  The test prints
+the interleaved medians (``pytest -s`` shows them) and both asserts
+report them, so a failure shows the absolute gap; it writes no file.
 """
 
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -76,15 +75,14 @@ def test_disabled_mode_overhead_within_budget(instance, obs_clean):
 
     med_off = statistics.median(disabled)
     med_on = statistics.median(enabled)
-    (Path(__file__).parent / "results" / "obs_overhead.txt").write_text(
-        f"balance_rack_aware median seconds over {rounds} rounds\n"
-        f"registry disabled: {med_off:.6f}\n"
-        f"registry enabled:  {med_on:.6f}\n"
-        f"enabled/disabled:  {med_on / med_off:.3f}\n",
-        encoding="utf-8",
+    medians = (
+        f"balance_rack_aware median seconds over {rounds} rounds: "
+        f"registry disabled {med_off:.6f}, enabled {med_on:.6f}, "
+        f"enabled/disabled {med_on / med_off:.3f}"
     )
+    print(medians)
     # The disabled path does strictly less work than the enabled one;
     # allow generous slack for scheduler noise on shared CI boxes.
-    assert med_off <= med_on * 1.25
+    assert med_off <= med_on * 1.25, medians
     # The once-per-run flush keeps even the enabled mode cheap.
-    assert med_on <= med_off * 1.5
+    assert med_on <= med_off * 1.5, medians

@@ -258,6 +258,7 @@ def _find_swap_partner(
     src: int,
     dst: int,
     dst_index: Sequence[Tuple[float, int]],
+    center: int,
     src_blocks,
     load_src: float,
     load_dst: float,
@@ -275,11 +276,14 @@ def _find_swap_partner(
     ``dst_index`` is the destination machine's *full* persistent share
     index; blocks shared with ``src`` (``src_blocks``) are stepped over
     in place, which visits exactly the exclusive blocks in the same order
-    a rebuilt exclusive list would.
+    a rebuilt exclusive list would.  ``center`` is the position of the
+    ideal share in ``dst_index`` (``bisect_left`` on ``(ideal, -1)``),
+    found by the caller's window check.
 
     Preconditions held by the caller (and relied on here): ``src`` and
-    ``dst`` differ, ``block_i`` is on ``src`` but not on ``dst``, and
-    every probed ``block_j`` is on ``dst`` but not on ``src`` — so of
+    ``dst`` differ, ``block_i`` is on ``src`` but not on ``dst``, every
+    probed ``block_j`` is on ``dst`` but not on ``src``, and some entry
+    of ``dst_index`` lies inside the window — so of
     :meth:`~repro.core.placement.PlacementState.can_swap` only the two
     rack-spread clauses remain to be checked.  The ``block_i`` clause
     does not depend on the partner and is checked once up front
@@ -288,9 +292,8 @@ def _find_swap_partner(
     shares already in hand with the same expressions
     ``SwapOp.outcome`` uses, keeping every float bit-identical.
     """
-    if not dst_index:
-        return None
-    if not state.move_keeps_spread(block_i, src, dst):
+    keeps_spread = state._relocation_keeps_spread
+    if not keeps_spread(block_i, src, dst):
         return None
     gap = load_src - load_dst
     ideal = share_i - gap / 2.0
@@ -298,7 +301,6 @@ def _find_swap_partner(
     lower_bar = lower + _TOLERANCE
     upper_bar = share_i - _TOLERANCE
     num = len(dst_index)
-    keeps_spread = state.move_keeps_spread
     pair_before = load_src if load_src >= load_dst else load_dst
     improve_bar = pair_before - _TOLERANCE
     if mode == _GAP:
@@ -307,7 +309,6 @@ def _find_swap_partner(
         src_at_max = not (load_src < global_cost - _TOLERANCE)
         cost_bar = (1.0 - policy.epsilon) * global_cost + _TOLERANCE
     rejections = 0
-    center = bisect.bisect_left(dst_index, (ideal, -1))
     left = _prev_exclusive(dst_index, center - 1, src_blocks)
     right = _next_exclusive(dst_index, center, src_blocks)
     while left >= 0 or right < num:
@@ -396,19 +397,47 @@ def find_operation_between(
     ``MoveOp.outcome`` / ``policy.is_admissible``, so the chosen
     operation and the rejection count match the object-based path
     exactly (pinned by the differential tests).
+
+    Three shortcuts skip work that cannot change that result:
+
+    * *Empty window.*  :func:`_find_swap_partner` returns a partner, or
+      counts a rejection, only for a share strictly inside
+      ``(share_i - gap, share_i)`` less the tolerance at both ends, the
+      window of an improving swap.  The bisect of ``dst``'s full share
+      index at the ideal share ``share_i - gap/2``, where the walk
+      starts, splits the index there; an entry inside the window below
+      the split makes the entry just below it exceed the lower bar, one
+      at or above the split makes the entry at it fall short of the
+      upper bar.  If neither neighbour does, no entry of the index
+      (exclusive or shared) is inside, and the partner walk and its
+      spread precheck, which has no side effect on the result, are
+      skipped; otherwise the walk reuses the bisect.
+    * *Spread floor 1.*  The spread clause goes through
+      :meth:`~repro.core.placement.PlacementState._relocation_keeps_spread`,
+      which passes a block with ``rho_i = 1`` without rack arithmetic:
+      the block is on the source and absent from the destination, so
+      after the relocation the destination's rack holds it.
+    * *Checked once.*  ``src`` and ``dst`` are validated here; loads,
+      share indexes, block sets and free slots are then read through
+      the state's unchecked internals.
     """
-    load_src = state.load(src)
-    load_dst = state.load(dst)
+    check_machine = state.topology.check_machine
+    check_machine(src)
+    check_machine(dst)
+    loads = state._loads
+    load_src = float(loads[src])
+    load_dst = float(loads[dst])
     gap = load_src - load_dst
     if gap <= _TOLERANCE:
         return None
-    src_index = state.share_index(src)
-    dst_index = state.share_index(dst)
-    src_blocks = state.blocks_on_view(src)
-    dst_blocks = state.blocks_on_view(dst)
+    src_index = state._index_of(src)
+    dst_index = state._index_of(dst)
+    src_blocks = state._blocks_of(src)
+    dst_blocks = state._blocks_of(dst)
+    num_dst = len(dst_index)
     mode = _policy_mode(policy)
-    keeps_spread = state.move_keeps_spread
-    dst_open = not state.is_full(dst)
+    keeps_spread = state._relocation_keeps_spread
+    dst_open = state._used[dst] < state.topology.capacities[dst]
     pair_before = load_src if load_src >= load_dst else load_dst
     improve_bar = pair_before - _TOLERANCE
     if mode == _GAP:
@@ -452,6 +481,14 @@ def find_operation_between(
                 return MoveOp(block=block_i, src=src, dst=dst)
             if stats is not None:
                 stats.admissibility_rejections += 1
+        # The ideal share and window bars as _find_swap_partner computes
+        # them; the entries next to the ideal are the window's innermost.
+        center = bisect.bisect_left(dst_index, (share_i - gap / 2.0, -1))
+        if not (
+            (center and dst_index[center - 1][0] > (share_i - gap) + _TOLERANCE)
+            or (center < num_dst and dst_index[center][0] < share_i - _TOLERANCE)
+        ):
+            continue
         swap = _find_swap_partner(
             state,
             policy,
@@ -461,6 +498,7 @@ def find_operation_between(
             src,
             dst,
             dst_index,
+            center,
             src_blocks,
             load_src,
             load_dst,

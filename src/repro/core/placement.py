@@ -160,6 +160,24 @@ def _validated_columns(
     return columns  # a machine listed twice in one block: see _install
 
 
+class _SpreadFloors(dict):
+    """``{block_id: rho_i}``, each filled from the problem on first read.
+
+    Its entries depend only on the immutable problem, so copies of a
+    state share one memo.
+    """
+
+    __slots__ = ("_problem",)
+
+    def __init__(self, problem: PlacementProblem) -> None:
+        super().__init__()
+        self._problem = problem
+
+    def __missing__(self, block_id: int) -> int:
+        floor = self[block_id] = self._problem.block(block_id).rack_spread
+        return floor
+
+
 class PlacementState:
     """Assignment of block replicas to machines, with incremental loads."""
 
@@ -198,6 +216,8 @@ class PlacementState:
         self._machines_of: Dict[int, Set[int]] = {}
         # Per-block {rack: holders} counts, built on first read.
         self._rack_holders: Dict[int, Dict[int, int]] = {}
+        # Shared by copies, like the block-row map.
+        self._spread_floor = _SpreadFloors(problem)
         self._mutations = 0
         self._machine_epoch = np.zeros(num_machines, dtype=np.int64)
         self._rack_members: List[np.ndarray] = [
@@ -473,10 +493,9 @@ class PlacementState:
         """Whether relocating one replica ``src -> dst`` keeps ``rho_i``.
 
         This is exactly the rack clause of :meth:`can_move` /
-        :meth:`can_swap`.  The local search calls it directly for
-        candidates whose membership preconditions already hold by
-        construction (the block is on ``src`` and absent from ``dst``),
-        skipping the redundant replica lookups.
+        :meth:`can_swap`, for any block and machine pair.  The local
+        search, whose candidates meet the membership preconditions by
+        construction, uses :meth:`_relocation_keeps_spread` instead.
         """
         rack_of = self.topology.rack_of
         src_rack = rack_of[src]
@@ -489,6 +508,31 @@ class PlacementState:
             if dst_rack not in holders:
                 spread += 1
         return spread >= self.problem.block(block_id).rack_spread
+
+    def _relocation_keeps_spread(self, block_id: int, src: int, dst: int) -> bool:
+        """:meth:`move_keeps_spread` for a block on ``src`` and absent
+        from ``dst``, the local search's candidates.
+
+        Under those preconditions a block with ``rho_i = 1`` always keeps
+        its spread, since the replica that lands on ``dst`` holds a rack,
+        so only blocks with ``rho_i > 1`` pay for the rack arithmetic,
+        in which ``src``'s rack is known to hold the block.  ``rho_i``
+        comes from a per-block memo, not a spec lookup.
+        """
+        floor = self._spread_floor[block_id]
+        if floor == 1:
+            return True
+        rack_of = self.topology.rack_of
+        src_rack = rack_of[src]
+        dst_rack = rack_of[dst]
+        holders = self._rack_holders_for(block_id)
+        spread = len(holders)
+        if src_rack != dst_rack:
+            if holders[src_rack] == 1:
+                spread -= 1
+            if dst_rack not in holders:
+                spread += 1
+        return spread >= floor
 
     # -- mutations ---------------------------------------------------------------
 
@@ -633,9 +677,9 @@ class PlacementState:
         Loads, epochs and the mutation counter are carried over, so the
         copy runs its periodic :meth:`recompute` at the same mutations as
         the original: driven by the same operations, both stay
-        bit-identical.  The read-only CSRs, block-row map and
-        rack-member arrays are shared; only the indexes materialised so
-        far (holder sets included) are copied.
+        bit-identical.  The read-only CSRs, block-row map, spread-floor
+        memo and rack-member arrays are shared; only the indexes
+        materialised so far (holder sets included) are copied.
         """
         clone = copy.copy(self)
         clone._machines_of = {
@@ -818,10 +862,11 @@ class PlacementState:
         """Approximate resident bytes of the placement state's structures.
 
         Sums ``sys.getsizeof`` of every array and container the state
-        owns (each counted once; the problem and topology are shared and
-        not counted), including the CSR arrays and the block-row map but
-        only the per-machine and per-block indexes materialised so far,
-        plus a flat per-entry estimate for the ``(share, block_id)``
+        owns (each counted once; the problem, the topology and the
+        spread-floor memo of problem data are shared and not counted),
+        including the CSR arrays and the block-row map but only the
+        per-machine and per-block indexes materialised so far, plus a
+        flat per-entry estimate for the ``(share, block_id)``
         tuples the materialised share indices point at.  It is an
         *estimate* — small-int interning and allocator slack are not
         modeled — but it is deterministic, which is what the

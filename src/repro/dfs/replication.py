@@ -231,6 +231,14 @@ class TransferService:
         if _REG.enabled:
             _BYTES_BY_KIND.labels(kind=kind).inc(size)
 
+    def _count_failure(self, wasted: int) -> None:
+        """Account an aborted transfer that burned ``wasted`` bytes."""
+        self.transfers_failed += 1
+        self.bytes_wasted += wasted
+        if _REG.enabled:
+            _TRANSFER_FAILURES.inc()
+            _WASTED_BYTES.inc(wasted)
+
     def _fail(
         self,
         size: int,
@@ -244,11 +252,7 @@ class TransferService:
         """Abort a transfer after ``fraction`` of its duration is wasted."""
         elapsed = duration * fraction
         wasted = int(size * fraction)
-        self.transfers_failed += 1
-        self.bytes_wasted += wasted
-        if _REG.enabled:
-            _TRANSFER_FAILURES.inc()
-            _WASTED_BYTES.inc(wasted)
+        self._count_failure(wasted)
         if span is not None:
             span.set(outcome="failed", wasted_bytes=wasted)
             _TRACER.finish(

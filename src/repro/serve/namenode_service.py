@@ -186,7 +186,8 @@ class NetworkTransferService(TransferService):
                 self._land(size, kind, time.monotonic() - started)
                 on_complete()
                 return
-            self.transfers_failed += 1
+            # A pull reports no partial progress, so it wastes no bytes.
+            self._count_failure(0)
             if on_failure is None:
                 return
             if outcome == "source-corrupt":

@@ -159,6 +159,23 @@ class TestFeasibilityChecks:
         assert not state.can_swap(0, 0, 0, 2)
         assert not state.can_swap(0, 0, 1, 0)
 
+    def test_spread_clause_public_and_search_forms(self):
+        """The public clause stays general; the search's form, whose
+        candidates are on ``src`` and absent from ``dst``, passes
+        ``rho = 1`` blocks outright and checks the rest in full."""
+        state = PlacementState(make_problem(num_racks=2, per_rack=2, rho=1))
+        # No holders and a same-rack pair: spread 0 after, below rho 1.
+        assert not state.move_keeps_spread(0, 0, 1)
+        state.add_replica(0, 0)
+        assert state.move_keeps_spread(0, 0, 1)
+        assert state._relocation_keeps_spread(0, 0, 1)
+        state = PlacementState(make_problem(num_racks=2, per_rack=2, rho=2))
+        state.add_replica(0, 0)  # rack 0
+        state.add_replica(0, 2)  # rack 1
+        for src, dst, keeps in ((2, 1, False), (2, 3, True), (0, 3, False)):
+            assert state.move_keeps_spread(0, src, dst) is keeps
+            assert state._relocation_keeps_spread(0, src, dst) is keeps
+
 
 class TestMutations:
     def test_move_shifts_load(self):

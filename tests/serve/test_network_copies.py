@@ -101,6 +101,19 @@ def test_landed_copy_bytes_reach_the_registry(registry):
         assert series.labels(kind=kind).value == size
 
 
+def test_failed_pull_reaches_the_registry(registry, loop):
+    """A failed served copy counts in the same failures series as a
+    simulated one."""
+    namenode, block, pulls = build(loop)
+    assert namenode.replicate_block(block, target=1)
+    [(_, _, _, done)] = pulls
+    done("failed")
+
+    assert namenode.transfers.transfers_failed == 1
+    series = registry.get("repro_dfs_transfer_failures_total")
+    assert series.value == namenode.transfers.transfers_failed
+
+
 @pytest.mark.parametrize("kind", ["repair", "migration"])
 def test_source_corrupt_pull_ends_the_chain(registry, loop, kind):
     """A target that refuses a rotten source ends the copy as the
