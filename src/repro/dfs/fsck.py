@@ -44,15 +44,6 @@ from repro.obs.registry import get_registry
 __all__ = ["FsckViolation", "FsckReport", "run_fsck", "render_fsck"]
 
 _REG = get_registry()
-_RUNS = _REG.counter(
-    "repro_dfs_fsck_runs_total",
-    "fsck invocations, by outcome",
-    ["outcome"],
-)
-_VIOLATIONS = _REG.gauge(
-    "repro_dfs_fsck_violations",
-    "Violations found by the most recent fsck run",
-)
 
 
 @dataclass(frozen=True)
@@ -265,9 +256,18 @@ def run_fsck(
                 ))
 
     if _REG.enabled:
+        # Registered here, not at import, so only processes that ran an
+        # instrumented fsck list them.
         outcome = "healthy" if report.healthy else "violations"
-        _RUNS.labels(outcome=outcome).inc()
-        _VIOLATIONS.set(len(report.violations))
+        _REG.counter(
+            "repro_dfs_fsck_runs_total",
+            "fsck invocations, by outcome",
+            ["outcome"],
+        ).labels(outcome=outcome).inc()
+        _REG.gauge(
+            "repro_dfs_fsck_violations",
+            "Violations found by the most recent fsck run",
+        ).set(len(report.violations))
     return report
 
 

@@ -901,6 +901,12 @@ class Namenode:
         Within the rack-local and remote tiers, gray (slow) nodes are
         avoided when a healthy replica exists.
         """
+        # Node-local fast path: the answer the full walk below gives
+        # when the reader is a live, unquarantined holder (no RNG draw).
+        if (reader in self.blockmap.locations_view(block_id)
+                and reader in self.live_nodes()
+                and not self.integrity.is_quarantined(block_id, reader)):
+            return reader
         live_holders = self.blockmap.live_locations(
             block_id, self.live_nodes()
         )
@@ -985,8 +991,9 @@ class Namenode:
         if source is None:
             source = self.choose_read_replica(block_id, reader)
         meta = self.blockmap.meta(block_id)
-        self.datanodes[source].read(block_id, meta.size)
-        if self.datanodes[source].degraded:
+        datanode = self.datanodes[source]
+        datanode.read(block_id, meta.size)
+        if datanode.degraded:
             self.degraded_reads += 1
             if _REG.enabled:
                 _DEGRADED_READS.inc()
@@ -998,10 +1005,11 @@ class Namenode:
             else:
                 locality = "remote"
             _READS.labels(locality=locality).inc()
+        now = self.now
         for listener in self.access_listeners:
-            listener(block_id, self.now)
+            listener(block_id, now)
         for listener in self.read_listeners:
-            listener(block_id, reader, source, self.now)
+            listener(block_id, reader, source, now)
         return source
 
     def is_file_available(self, path: str) -> bool:

@@ -16,6 +16,20 @@ setup:
   :class:`~repro.scheduler.runtime.TaskRuntimeModel` (remote tasks 2x
   slower), and every task start is a block read through the namenode, so
   Aurora's usage monitor sees the accesses.
+
+Dispatch runs on every job arrival and task completion, so it keeps
+indexes that make a pass cost what it launches or skips, not what the
+cluster holds:
+
+* each queue's ``pending`` — ``{job_id: job}`` of its jobs with a PENDING
+  task — is a subset of ``queue.jobs`` in submit order: a submission
+  adds the job, the launch of its last pending task drops it, and
+  :meth:`MapReduceScheduler.fail_machine` (the only place a task returns
+  to PENDING) rebuilds it from ``queue.jobs``;
+* each job's ``_cursor`` is at or before its first PENDING task: a pass
+  advances it past started tasks and ``MapTask.reset`` rewinds it;
+* the machines share one :class:`~repro.cluster.machine.FreeSlotCount`,
+  so "is any slot free?" is one integer read.
 """
 
 from __future__ import annotations
@@ -24,9 +38,10 @@ import logging
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from functools import partial
+from typing import Deque, Dict, List, Optional, Set
 
-from repro.cluster.machine import MachineState
+from repro.cluster.machine import FreeSlotCount, MachineState
 from repro.dfs.namenode import Namenode
 from repro.errors import DatanodeUnavailableError, SchedulerError
 from repro.obs.registry import get_registry
@@ -92,7 +107,15 @@ class _Queue:
     def __init__(self, config: QueueConfig) -> None:
         self.config = config
         self.jobs: Deque[Job] = deque()
+        # Jobs with a PENDING task, in submit order (see the module doc).
+        self.pending: Dict[int, Job] = {}
         self.running_tasks = 0
+
+    def rebuild_pending(self) -> None:
+        """Re-derive ``pending`` from ``jobs`` after tasks re-queued."""
+        self.pending = {
+            job.job_id: job for job in self.jobs if job.has_pending()
+        }
 
     @property
     def pressure(self) -> float:
@@ -120,15 +143,17 @@ class MapReduceScheduler:
         self.runtime = runtime or TaskRuntimeModel()
         self.delay_policy = delay_policy or NoDelayPolicy()
         self._rng = rng or random.Random(0)
+        self._slots = FreeSlotCount()
         self.machines: List[MachineState] = [
-            MachineState(machine_id=m, task_slots=slots_per_machine)
+            MachineState(machine_id=m, task_slots=slots_per_machine,
+                         slot_count=self._slots)
             for m in namenode.topology.machines
         ]
         queue_configs = queues or [QueueConfig("default", 1.0)]
         self._queues: Dict[str, _Queue] = {
             q.name: _Queue(q) for q in queue_configs
         }
-        self._job_queue: Dict[int, str] = {}
+        self._job_ids: Set[int] = set()
         self.retry_interval = 3.0  # node-manager heartbeat cadence
         self._retry_pending = False
         self._attempts: Dict[tuple, List["TaskAttempt"]] = {}
@@ -147,10 +172,14 @@ class MapReduceScheduler:
         """Enqueue a job and try to place its tasks immediately."""
         if queue not in self._queues:
             raise SchedulerError(f"unknown queue {queue!r}")
-        if job.job_id in self._job_queue:
+        if job.job_id in self._job_ids:
             raise SchedulerError(f"job {job.job_id} already submitted")
-        self._queues[queue].jobs.append(job)
-        self._job_queue[job.job_id] = queue
+        target = self._queues[queue]
+        target.jobs.append(job)
+        if job.has_pending():
+            target.pending[job.job_id] = job
+        job._queue = target
+        self._job_ids.add(job.job_id)
         self.jobs_submitted += 1
         self.dispatch()
 
@@ -169,6 +198,7 @@ class MapReduceScheduler:
         """
         state = self.machines[machine_id]
         state.fail()
+        requeued = set()
         for key in list(self._attempts):
             attempts = self._attempts[key]
             for attempt in attempts:
@@ -180,7 +210,10 @@ class MapReduceScheduler:
             del self._attempts[key]
             if task.state is TaskState.RUNNING:
                 task.reset()
-                self._queues[self._job_queue[job.job_id]].running_tasks -= 1
+                job._queue.running_tasks -= 1
+                requeued.add(job._queue)
+        for queue in requeued:
+            queue.rebuild_pending()
         self.dispatch()
 
     def recover_machine(self, machine_id: int) -> None:
@@ -206,61 +239,80 @@ class MapReduceScheduler:
         Dispatch runs on job arrival and task completion; when any task
         chooses to wait, a retry pass is scheduled ``retry_interval``
         seconds later (the node-manager heartbeat cadence), so waiting
-        consumes simulated time exactly as delay scheduling intends.
+        consumes simulated time exactly as delay scheduling intends.  A
+        launch the namenode refuses (no readable replica) waits the same
+        way.
+
+        A pass reads only the indexes of the module docstring: it visits
+        the queues' ``pending`` jobs (a subset of ``queue.jobs``, in
+        submit order) and each job's tasks from its ``_cursor`` (at or
+        before its first PENDING task).  Every task a pass reaches is
+        launched, waits until the retry, or ends the pass because no slot
+        is free, so a further pass can place something only after a
+        per-job launch cap cut a job short.
         """
+        if not self._slots.free:
+            return 0
+        queues = self._active_queues()
+        if not queues:
+            return 0
+        cap = self._per_job_launch_cap()
         launched = 0
         needs_retry = False
-        waiting = set()
+        waiting: Set[int] = set()  # id() of tasks that wait for the retry
         while True:
             progress = 0
-            slots_exhausted = False
-            for queue in self._active_queues():
+            capped = False
+            exhausted = False
+            for queue in queues:
                 for job in self._job_order(queue):
-                    if not job.has_pending():
-                        continue
-                    cap = self._per_job_launch_cap()
                     per_job = 0
-                    # Lazy pending scan (no per-pass list build): task
-                    # completions are scheduled sim events, never
+                    tasks = job.tasks
+                    first = job._cursor
+                    while tasks[first].state is not TaskState.PENDING:
+                        first += 1
+                    job._cursor = first
+                    # Task completions are scheduled sim events, never
                     # synchronous within dispatch, so no task's state
-                    # changes mid-iteration except the one just launched
-                    # — which the scan has already passed.
-                    for task in job.tasks:
+                    # changes mid-scan except the one just launched —
+                    # which the scan has already passed.
+                    for index in range(first, len(tasks)):
+                        task = tasks[index]
                         if task.state is not TaskState.PENDING:
                             continue
                         if cap is not None and per_job >= cap:
+                            capped = True
                             break
-                        key = (job.job_id, task.task_id)
-                        if key in waiting:
+                        if id(task) in waiting:
                             continue
                         machine = self._free_holder(task)
-                        if machine is not None:
-                            self._launch(job, task, machine)
-                            per_job += 1
-                            progress += 1
-                            continue
-                        if not self._any_free_slot():
-                            slots_exhausted = True
-                            break
-                        if self.delay_policy.should_wait(task):
-                            waiting.add(key)
-                            needs_retry = True
-                            continue
-                        machine = self._best_machine_for(task)
                         if machine is None:
-                            waiting.add(key)
+                            if not self._slots.free:
+                                exhausted = True
+                                break
+                            if self.delay_policy.should_wait(task):
+                                waiting.add(id(task))
+                                needs_retry = True
+                                continue
+                            machine = self._best_machine_for(task)
+                            if machine is None:
+                                waiting.add(id(task))
+                                needs_retry = True
+                                continue
+                        if self._launch(job, task, machine) is None:
+                            waiting.add(id(task))
                             needs_retry = True
                             continue
-                        self._launch(job, task, machine)
                         per_job += 1
                         progress += 1
-                    if slots_exhausted:
+                    if exhausted:
                         break
-                if slots_exhausted:
+                if exhausted:
                     break
             launched += progress
-            if progress == 0 or slots_exhausted:
+            if not (capped and progress) or exhausted or not self._slots.free:
                 break
+            queues = self._active_queues()
         if needs_retry:
             self._schedule_retry()
         return launched
@@ -286,36 +338,37 @@ class MapReduceScheduler:
         self.sim.schedule(self.retry_interval, retry)
 
     def _job_order(self, queue: "_Queue") -> List[Job]:
-        """Order in which a queue's jobs are offered slots.
+        """Order in which a queue's pending jobs are offered slots.
 
         The capacity scheduler is FIFO within a queue; subclasses (e.g.
-        the fair scheduler) override this.
+        the fair scheduler) override this.  The result is a snapshot: a
+        pass drops jobs from ``queue.pending`` as it launches their last
+        task.
         """
-        return list(queue.jobs)
+        return list(queue.pending.values())
 
     def _active_queues(self) -> List[_Queue]:
         """Queues with pending work, most entitled first."""
-        active = [
-            q for q in self._queues.values()
-            if any(job.has_pending() for job in q.jobs)
-        ]
+        active = [q for q in self._queues.values() if q.pending]
         active.sort(key=lambda q: q.pressure)
         return active
 
-    def _any_free_slot(self) -> bool:
-        return any(m.alive and m.free_slots > 0 for m in self.machines)
-
     def _free_holder(self, task: MapTask) -> Optional[MachineState]:
         """The least-occupied live replica holder with a free slot."""
+        machines = self.machines
+        datanodes = self.namenode.datanodes
         best = None
+        best_used = 0
         for node in self.namenode.blockmap.locations_view(task.block_id):
-            machine = self.machines[node]
-            if not machine.alive or machine.free_slots <= 0:
+            machine = machines[node]
+            used = machine.used_slots
+            if not machine.alive or used >= machine.task_slots:
                 continue
-            if not self.namenode.datanodes[node].alive:
+            if not datanodes[node].alive:
                 continue
-            if best is None or machine.used_slots < best.used_slots:
+            if best is None or used < best_used:
                 best = machine
+                best_used = used
         return best
 
     def _best_machine_for(self, task: MapTask) -> Optional[MachineState]:
@@ -324,13 +377,14 @@ class MapReduceScheduler:
         locations = self.namenode.blockmap.live_locations(task.block_id, live)
         if not locations:
             return None  # block unavailable; retry after repair
-        replica_racks = {self.namenode.topology.rack_of[n] for n in locations}
+        rack_of = self.namenode.topology.rack_of
+        replica_racks = {rack_of[n] for n in locations}
         best = None
         best_key = None
         for machine in self.machines:
-            if not machine.alive or machine.free_slots <= 0:
+            if not machine.alive or machine.used_slots >= machine.task_slots:
                 continue
-            rack = self.namenode.topology.rack_of[machine.machine_id]
+            rack = rack_of[machine.machine_id]
             key = (0 if rack in replica_racks else 1, machine.used_slots)
             if best_key is None or key < best_key:
                 best = machine
@@ -344,46 +398,52 @@ class MapReduceScheduler:
         machine: MachineState,
         speculative: bool = False,
     ) -> Optional["TaskAttempt"]:
-        """Start a task attempt on ``machine``.
+        """Start a task attempt on ``machine``, or None if the read fails.
 
         A regular launch transitions the task to RUNNING; a speculative
         launch is a backup attempt for an already-running task — whoever
-        finishes first wins and the loser is killed.
+        finishes first wins and the loser is killed.  ``machine`` comes
+        from :meth:`_free_holder` or :meth:`_best_machine_for`, so it is
+        live with a free slot.
         """
+        machine_id = machine.machine_id
         try:
-            source = self.namenode.record_access(
-                task.block_id, machine.machine_id
-            )
+            source = self.namenode.record_access(task.block_id, machine_id)
         except DatanodeUnavailableError:
             return None
-        locality = self._classify(machine.machine_id, source)
-        machine.reserve_slot()
+        if source == machine_id:
+            locality = TaskLocality.NODE_LOCAL
+        else:
+            locality = self._classify(machine_id, source)
+        machine._take_slot()
+        now = self.sim.now
         attempt = TaskAttempt(
-            job=job,
-            task=task,
-            machine_id=machine.machine_id,
-            locality=locality,
-            start_time=self.sim.now,
-            speculative=speculative,
+            job, task, machine_id, locality, now, speculative
         )
         key = (job.job_id, task.task_id)
-        self._attempts.setdefault(key, []).append(attempt)
+        attempts = self._attempts.get(key)
+        if attempts is None:
+            self._attempts[key] = [attempt]
+        else:
+            attempts.append(attempt)
         if speculative:
             self.speculative_launches += 1
         else:
-            task.start(machine.machine_id, locality, self.sim.now)
-            queue = self._queues[self._job_queue[job.job_id]]
+            task.start(machine_id, locality, now)
+            queue = job._queue
             queue.running_tasks += 1
-            if locality.is_remote:
-                self.remote_tasks += 1
-            else:
+            if not job._pending_count:
+                del queue.pending[job.job_id]
+            if locality is TaskLocality.NODE_LOCAL:
                 self.local_tasks += 1
+            else:
+                self.remote_tasks += 1
             if _REG.enabled:
                 _TASKS.labels(locality=locality.value).inc()
-                _TASK_WAIT.observe(self.sim.now - job.submit_time)
-        duration = self.runtime.duration(job.task_duration, locality)
-        self.sim.schedule(
-            duration, lambda: self._complete(attempt, machine)
+                _TASK_WAIT.observe(now - job.submit_time)
+        duration = self.runtime._duration(job.task_duration, locality)
+        self.sim.schedule_at(
+            now + duration, partial(self._complete, attempt, machine)
         )
         return attempt
 
@@ -413,30 +473,31 @@ class MapReduceScheduler:
         machine.release_slot()
         task = attempt.task
         job = attempt.job
-        key = (job.job_id, task.task_id)
         if task.state is not TaskState.RUNNING:
             self.dispatch()
             return
         # This attempt wins; kill any sibling attempts immediately.
-        for sibling in self.live_attempts(job.job_id, task.task_id):
+        for sibling in self._attempts.pop((job.job_id, task.task_id), ()):
+            if sibling.cancelled:
+                continue
             sibling.cancelled = True
             other = self.machines[sibling.machine_id]
             if other.alive:
                 other.release_slot()
-        self._attempts.pop(key, None)
+        now = self.sim.now
         task.machine = attempt.machine_id
         task.locality = attempt.locality
-        task.finish(self.sim.now)
+        task.finish(now)
         if _REG.enabled:
-            _TASK_RUN.observe(self.sim.now - attempt.start_time)
+            _TASK_RUN.observe(now - attempt.start_time)
         if attempt.speculative:
             self.speculative_wins += 1
-        queue = self._queues[self._job_queue[job.job_id]]
+        queue = job._queue
         queue.running_tasks -= 1
         if job.is_complete():
-            job.finish_time = self.sim.now
+            job.finish_time = now
             queue.jobs.remove(job)
-            del self._job_queue[job.job_id]
+            self._job_ids.discard(job.job_id)
             self.jobs_completed += 1
             self.completed_jobs.append(job)
             if _REG.enabled:
@@ -452,7 +513,8 @@ class MapReduceScheduler:
     def _classify(self, machine_id: int, source: int) -> TaskLocality:
         if machine_id == source:
             return TaskLocality.NODE_LOCAL
-        if self.namenode.topology.same_rack(machine_id, source):
+        rack_of = self.namenode.topology.rack_of
+        if rack_of[machine_id] == rack_of[source]:
             return TaskLocality.RACK_LOCAL
         return TaskLocality.REMOTE
 
@@ -469,4 +531,4 @@ class MapReduceScheduler:
 
     def pending_jobs(self) -> int:
         """Jobs still holding unfinished tasks."""
-        return len(self._job_queue)
+        return len(self._job_ids)

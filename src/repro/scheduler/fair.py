@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.scheduler.capacity import MapReduceScheduler
-from repro.scheduler.job import Job, TaskState
+from repro.scheduler.job import Job
 
 __all__ = ["FairScheduler"]
 
@@ -27,14 +27,8 @@ class FairScheduler(MapReduceScheduler):
         return 1
 
     def _job_order(self, queue) -> List[Job]:
-        """Fewest running tasks first; FIFO among equals."""
-
-        def running_tasks(job: Job) -> int:
-            return sum(
-                1 for task in job.tasks if task.state is TaskState.RUNNING
-            )
-
+        """Pending jobs, fewest running tasks first; FIFO among equals."""
         return sorted(
-            queue.jobs,
-            key=lambda job: (running_tasks(job), job.submit_time, job.job_id),
+            queue.pending.values(),
+            key=lambda job: (job.num_running, job.submit_time, job.job_id),
         )

@@ -51,7 +51,7 @@ class MapTask:
 
     State transitions must go through :meth:`start`/:meth:`finish`/
     :meth:`reset` — they keep the owning job's pending/done counters
-    (the scheduler's O(1) dispatch index) in sync.
+    and pending-task cursor (the scheduler's dispatch index) in sync.
     """
 
     task_id: int
@@ -95,6 +95,7 @@ class MapTask:
         self.start_time = None
         if self._job is not None:
             self._job._pending_count += 1
+            self._job._cursor = 0
 
 
 @dataclass
@@ -123,6 +124,12 @@ class Job:
         # scheduler's dispatch hot path.
         self._pending_count = 0
         self._done_count = 0
+        # Index into ``tasks`` at or before the first PENDING task: the
+        # scheduler advances it past started tasks, reset() rewinds it.
+        self._cursor = 0
+        # The scheduler queue (``capacity._Queue``) the job runs in, set
+        # on submission.
+        self._queue = None
         for task in self.tasks:
             task._job = self
             if task.state is TaskState.PENDING:
@@ -144,6 +151,11 @@ class Job:
     def has_pending(self) -> bool:
         """Whether any task is still waiting to be scheduled (O(1))."""
         return self._pending_count > 0
+
+    @property
+    def num_running(self) -> int:
+        """Tasks currently RUNNING (O(1))."""
+        return len(self.tasks) - self._pending_count - self._done_count
 
     def is_complete(self) -> bool:
         """Whether every task has finished (O(1))."""

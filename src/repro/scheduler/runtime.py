@@ -65,6 +65,10 @@ class TaskRuntimeModel:
         """Actual task duration for the given locality."""
         if base_duration <= 0:
             raise SchedulerError("base_duration must be positive")
+        return self._duration(base_duration, locality)
+
+    def _duration(self, base_duration: float, locality: TaskLocality) -> float:
+        """:meth:`duration` for a positive base (a :class:`Job` checks it)."""
         value = base_duration * self.factor(locality)
         if self.jitter:
             value *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)

@@ -1,8 +1,10 @@
 """Unit tests for machine runtime state."""
 
+import random
+
 import pytest
 
-from repro.cluster.machine import MachineState
+from repro.cluster.machine import FreeSlotCount, MachineState
 from repro.errors import SchedulerError
 
 
@@ -36,4 +38,19 @@ class TestMachineState:
         machine.recover()
         assert machine.alive
         assert machine.free_slots == 4
+
+    def test_free_slot_count_follows_every_transition(self):
+        count = FreeSlotCount()
+        machines = [MachineState(machine_id=m, task_slots=3, slot_count=count)
+                    for m in range(4)]
+        assert count.free == 12
+        transitions = [MachineState.reserve_slot, MachineState.release_slot,
+                       MachineState.fail, MachineState.recover]
+        rng = random.Random(7)
+        for _ in range(500):
+            try:
+                rng.choice(transitions)(rng.choice(machines))
+            except SchedulerError:
+                pass  # a refused transition must leave the count alone
+            assert count.free == sum(m.free_slots for m in machines)
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.dfs.namenode import Namenode
 from repro.dfs.policies import DefaultHdfsPolicy
-from repro.errors import SchedulerError
+from repro.errors import DatanodeUnavailableError, SchedulerError
 from repro.scheduler.capacity import MapReduceScheduler, QueueConfig
 from repro.scheduler.delay import DelaySchedulingPolicy, NoDelayPolicy
 from repro.scheduler.job import Job, MapTask, TaskLocality, TaskState
@@ -241,6 +241,31 @@ class TestSchedulerIntegration:
         assert job.is_complete()
         assert all(t.machine != victim or t.finish_time is not None
                    for t in job.tasks)
+
+    def test_refused_launch_waits_for_the_retry(self):
+        sim, nn, scheduler = build_cluster()
+        meta = nn.create_file("/a", num_blocks=2)
+        job = Job(job_id=0, submit_time=0.0, block_ids=list(meta.block_ids),
+                  task_duration=5.0)
+        record_access = nn.record_access
+        calls = []
+
+        def refuse(block_id, reader, source=None):
+            calls.append(block_id)
+            if len(calls) > 50:  # bound a dispatch that would spin
+                raise RuntimeError("dispatch retried a refused launch")
+            raise DatanodeUnavailableError(f"block {block_id} refused")
+
+        nn.record_access = refuse
+        scheduler.submit_job(job)
+        # Each task was offered once, refused, and left for the retry.
+        assert len(calls) == 2
+        assert scheduler.local_tasks + scheduler.remote_tasks == 0
+        assert all(t.state is TaskState.PENDING for t in job.tasks)
+        nn.record_access = record_access
+        sim.run()
+        assert job.is_complete()
+        assert job.tasks[0].start_time == scheduler.retry_interval
 
     def test_tasks_per_machine_counts(self):
         sim, nn, scheduler = build_cluster()
